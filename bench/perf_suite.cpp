@@ -1,6 +1,6 @@
 // Machine-readable performance regression suite (BENCH_PR1.json +
-// BENCH_PR3.json + BENCH_PR5.json + BENCH_PR6.json + BENCH_PR7.json +
-// BENCH_PR8.json + BENCH_PR10.json).
+// BENCH_PR3.json + BENCH_PR5.json + BENCH_PR6.json + BENCH_PR8.json +
+// BENCH_PR10.json).
 //
 // BENCH_PR1 — one JSON record per kernel/routing benchmark:
 //   { "bench": ..., "n": ..., "wall_seconds": ..., "work": ..., "bytes_moved": ... }
@@ -53,21 +53,13 @@
 //    global std::stable_sort baseline vs the cluster's counting/radix
 //    scatter, byte-identical output re-verified in-bench.
 //
-// BENCH_PR7 (--out5) — execution backends: the same batch workloads run
-// with machine bodies on the in-process thread pool vs forked worker
-// processes (shared-memory result arenas).  Distances and trace structural
-// hashes are cross-checked identical in-bench — the backend may only move
-// wall clock.  Hard gate (non-smoke): process-backend wall <= 2x the
-// thread backend on the edit and ulam batch workloads at n = 2000.
-//
-// BENCH_PR10 (--out7) — the TCP socket backend: the BENCH_PR7 batch
-// workloads run a third time with machine bodies in forked workers that
-// stream their results back over localhost TCP frames, alongside the
-// thread-backend baseline.  Distances and trace structural hashes are
-// cross-checked identical against the thread run.  Hard gate (non-smoke):
-// socket-backend wall <= 4x the thread backend on the edit and ulam batch
-// workloads at n = 2000 — the per-round fork + connect + frame overhead on
-// localhost must stay in the same ballpark as the process backend's.
+// BENCH_PR10 (--out7) — execution backends: the same batch workloads run
+// with machine bodies on the in-process thread pool and in forked workers
+// that stream their results back over localhost TCP frames (the socket
+// backend).  Distances and trace structural hashes are cross-checked
+// identical in-bench — the backend may only move wall clock.  Hard gate
+// (non-smoke): socket-backend wall <= 2x the thread backend on the edit
+// and ulam batch workloads at n = 2000.
 //
 // BENCH_PR8 (--out6) — the cost-model query router: one skewed
 // near-duplicate batch (n = 2000, B = 32; 75% of pairs within edit
@@ -387,7 +379,6 @@ int main(int argc, char** argv) {
   std::string out2_path = "BENCH_PR3.json";
   std::string out3_path = "BENCH_PR5.json";
   std::string out4_path = "BENCH_PR6.json";
-  std::string out5_path = "BENCH_PR7.json";
   std::string out6_path = "BENCH_PR8.json";
   std::string out7_path = "BENCH_PR10.json";
   std::string trace_path;
@@ -398,7 +389,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--out2") == 0 && i + 1 < argc) out2_path = argv[++i];
     if (std::strcmp(argv[i], "--out3") == 0 && i + 1 < argc) out3_path = argv[++i];
     if (std::strcmp(argv[i], "--out4") == 0 && i + 1 < argc) out4_path = argv[++i];
-    if (std::strcmp(argv[i], "--out5") == 0 && i + 1 < argc) out5_path = argv[++i];
     if (std::strcmp(argv[i], "--out6") == 0 && i + 1 < argc) out6_path = argv[++i];
     if (std::strcmp(argv[i], "--out7") == 0 && i + 1 < argc) out7_path = argv[++i];
     if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
@@ -714,14 +704,10 @@ int main(int argc, char** argv) {
         rounds_ok;
   }
 
-  // ---- BENCH_PR7: execution backends, thread pool vs forked processes. ----
+  // ---- BENCH_PR10: execution backends, thread pool vs socket workers. ----
   // The same batch workload per algorithm on both backends.  Everything
   // metered must agree bit for bit (checked here); only wall clock may
-  // move, and the gate below caps how far.  The same workloads run a third
-  // time on the socket backend (BENCH_PR10, --out7): the thread baseline
-  // plus the socket records go into their own artifact with the same
-  // bit-for-bit cross-checks.
-  std::vector<Record> backend_records;
+  // move, and the gate below caps how far.
   std::vector<Record> socket_records;
   {
     const std::int64_t backend_n = smoke ? 128 : 2000;
@@ -742,21 +728,11 @@ int main(int argc, char** argv) {
       };
       const char* algo = ulam ? "ulam" : "edit";
       core::BatchResult threaded;
-      core::BatchResult forked;
       Record thread_rec{std::string(algo) + "_batch_backend_thread", backend_n};
       thread_rec.wall_seconds = wall_median(
           [&] { threaded = solve(mpc::BackendKind::kThread); }, wall_reps);
       thread_rec.work = threaded.trace.total_work();
       thread_rec.bytes_moved = threaded.trace.total_comm_bytes();
-      backend_records.push_back(thread_rec);
-
-      Record process_rec{std::string(algo) + "_batch_backend_process",
-                         backend_n};
-      process_rec.wall_seconds = wall_median(
-          [&] { forked = solve(mpc::BackendKind::kProcess); }, wall_reps);
-      process_rec.work = forked.trace.total_work();
-      process_rec.bytes_moved = forked.trace.total_comm_bytes();
-      backend_records.push_back(process_rec);
 
       core::BatchResult socketed;
       Record socket_rec{std::string(algo) + "_batch_backend_socket",
@@ -765,22 +741,18 @@ int main(int argc, char** argv) {
           [&] { socketed = solve(mpc::BackendKind::kSocket); }, wall_reps);
       socket_rec.work = socketed.trace.total_work();
       socket_rec.bytes_moved = socketed.trace.total_comm_bytes();
-      // BENCH_PR10 carries its thread baseline so the artifact is
-      // self-contained.
       socket_records.push_back(thread_rec);
       socket_records.push_back(socket_rec);
 
-      if (forked.trace.structural_hash() != threaded.trace.structural_hash() ||
-          socketed.trace.structural_hash() !=
-              threaded.trace.structural_hash()) {
+      if (socketed.trace.structural_hash() !=
+          threaded.trace.structural_hash()) {
         std::fprintf(stderr,
                      "FATAL: %s batch trace hash differs across backends\n",
                      algo);
         return 1;
       }
       for (std::size_t q = 0; q < queries.size(); ++q) {
-        if (forked.queries[q].distance != threaded.queries[q].distance ||
-            socketed.queries[q].distance != threaded.queries[q].distance) {
+        if (socketed.queries[q].distance != threaded.queries[q].distance) {
           std::fprintf(stderr,
                        "FATAL: %s query %zu distance differs across backends\n",
                        algo, q);
@@ -904,7 +876,6 @@ int main(int argc, char** argv) {
   write_json(records, out_path);
   write_batch_json(batch_records, out2_path);
   write_json(isa_records, out4_path);
-  write_json(backend_records, out5_path);
   write_json(socket_records, out7_path);
   write_router_json(router_records, out6_path);
   std::printf("perf_suite: %zu records -> %s\n", records.size(), out_path.c_str());
@@ -923,14 +894,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.bytes_moved));
   }
   std::printf("perf_suite: %zu backend records -> %s\n",
-              backend_records.size(), out5_path.c_str());
-  for (const Record& r : backend_records) {
-    std::printf("  %-28s n=%-8lld wall=%.6fs work=%llu bytes_moved=%llu\n",
-                r.bench.c_str(), static_cast<long long>(r.n), r.wall_seconds,
-                static_cast<unsigned long long>(r.work),
-                static_cast<unsigned long long>(r.bytes_moved));
-  }
-  std::printf("perf_suite: %zu socket-backend records -> %s\n",
               socket_records.size(), out7_path.c_str());
   for (const Record& r : socket_records) {
     std::printf("  %-28s n=%-8lld wall=%.6fs work=%llu bytes_moved=%llu\n",
@@ -1066,10 +1029,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: %s is not well-formed JSON\n", out4_path.c_str());
       return 1;
     }
-    if (!json_well_formed(out5_path, backend_records.size())) {
-      std::fprintf(stderr, "FAIL: %s is not well-formed JSON\n", out5_path.c_str());
-      return 1;
-    }
     if (!json_well_formed(out6_path, router_records.size())) {
       std::fprintf(stderr, "FAIL: %s is not well-formed JSON\n", out6_path.c_str());
       return 1;
@@ -1163,42 +1122,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- BENCH_PR7 backend gate: fork + shm round overhead stays bounded. ----
-  // Forking workers and shuttling results through memfd arenas costs wall
-  // time every round; on real batch workloads at n=2000 the process backend
-  // must stay within 2x of the thread backend, or the isolation win has
-  // priced itself out of production use.
-  for (const char* algo : {"ulam", "edit"}) {
-    const double thread_wall = record_wall(
-        backend_records, std::string(algo) + "_batch_backend_thread", 2000);
-    const double process_wall = record_wall(
-        backend_records, std::string(algo) + "_batch_backend_process", 2000);
-    const double overhead = process_wall / thread_wall;
-    std::printf("%s process-backend overhead at n=2000: %.2fx (gate: <= 2x)\n",
-                algo, overhead);
-    if (!(overhead <= 2.0)) {
-      std::fprintf(stderr,
-                   "FAIL: %s process backend %.2fx thread backend > 2x\n", algo,
-                   overhead);
-      return 1;
-    }
-  }
-
   // ---- BENCH_PR10 socket gate: TCP round overhead stays bounded. ----
   // Each socket round pays fork + connect-back + framed result streaming;
-  // on localhost at n=2000 that must stay within 4x of the thread backend,
-  // or the wire has priced the backend out of local use entirely.
+  // on real batch workloads at n=2000 that must stay within 2x of the
+  // thread backend, or the isolation win has priced itself out of use.
   for (const char* algo : {"ulam", "edit"}) {
     const double thread_wall = record_wall(
         socket_records, std::string(algo) + "_batch_backend_thread", 2000);
     const double socket_wall = record_wall(
         socket_records, std::string(algo) + "_batch_backend_socket", 2000);
     const double overhead = socket_wall / thread_wall;
-    std::printf("%s socket-backend overhead at n=2000: %.2fx (gate: <= 4x)\n",
+    std::printf("%s socket-backend overhead at n=2000: %.2fx (gate: <= 2x)\n",
                 algo, overhead);
-    if (!(overhead <= 4.0)) {
+    if (!(overhead <= 2.0)) {
       std::fprintf(stderr,
-                   "FAIL: %s socket backend %.2fx thread backend > 4x\n", algo,
+                   "FAIL: %s socket backend %.2fx thread backend > 2x\n", algo,
                    overhead);
       return 1;
     }

@@ -128,19 +128,17 @@ hits=$(grep -rnE '#include[[:space:]]*<(immintrin|x86intrin|emmintrin|smmintrin|
   | grep -v '^src/common/cpu\.' || true)
 [ -n "$hits" ] && fail "intrinsics header outside src/seq/*_simd*.cpp and src/common/cpu.*; keep ISA-specific code behind the dispatch boundary" "$hits"
 
-# --- Rule 8: process-isolation primitives are confined to the process
-# backend TU (src/mpc/backend_process.cpp) and the socket transport TU
-# (src/mpc/transport_socket.cpp, which forks its connect-back workers).
-# fork/mmap/memfd scattered through the simulator would make "bodies
+# --- Rule 8: process-isolation primitives are confined to the socket
+# transport TU (src/mpc/transport_socket.cpp, which forks its connect-back
+# workers).  fork/mmap/memfd scattered through the simulator would make "bodies
 # cannot touch host memory" a property of many files instead of one
 # reviewable boundary, and a second fork site could silently skip the
 # round-barrier/reap protocol.
 # (Superseded by mpcsd_verify conf-process-primitive for src/.)
 hits=$(grep -rnE '\b(fork|vfork|mmap|munmap|memfd_create|shm_open|shm_unlink)\s*\(' \
   "${conf_sources[@]}" --include='*.hpp' --include='*.cpp' \
-  | grep -v '^src/mpc/backend_process\.cpp:' \
   | grep -v '^src/mpc/transport_socket\.cpp:' || true)
-[ -n "$hits" ] && fail "process/shared-memory primitives outside src/mpc/backend_process.cpp and src/mpc/transport_socket.cpp; keep isolation in the backend boundary" "$hits"
+[ -n "$hits" ] && fail "process/shared-memory primitives outside src/mpc/transport_socket.cpp; keep isolation in the backend boundary" "$hits"
 
 # --- Rule 8b: socket primitives are confined to the socket transport TU
 # (src/mpc/transport_socket.cpp) — every byte that leaves the process over

@@ -1,6 +1,5 @@
-// EINTR-safe file-descriptor IO, shared by every transport that moves
-// bytes across a process boundary (the process backend's round-barrier
-// pipes, the socket backend's TCP frame streams).
+// EINTR-safe file-descriptor IO for every transport that moves bytes
+// across a process boundary (the socket backend's TCP frame streams).
 //
 // POSIX read/write may transfer fewer bytes than asked (signals, pipe
 // buffers, TCP segmentation).  Before this helper existed each caller

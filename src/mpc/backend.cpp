@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/env.hpp"
-#include "mpc/backend_process.hpp"
 #include "mpc/backend_thread.hpp"
 #include "mpc/transport_socket.hpp"
 
@@ -14,7 +13,6 @@ namespace mpcsd::mpc {
 std::optional<BackendKind> backend_from_string(std::string_view name) {
   if (name == "auto") return BackendKind::kAuto;
   if (name == "thread") return BackendKind::kThread;
-  if (name == "process") return BackendKind::kProcess;
   if (name == "socket") return BackendKind::kSocket;
   return std::nullopt;
 }
@@ -23,8 +21,6 @@ const char* backend_kind_name(BackendKind kind) noexcept {
   switch (kind) {
     case BackendKind::kThread:
       return "thread";
-    case BackendKind::kProcess:
-      return "process";
     case BackendKind::kSocket:
       return "socket";
     case BackendKind::kAuto:
@@ -51,18 +47,10 @@ std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind,
   const BackendResolution resolved = resolve_backend(kind, env);
   if (!resolved.recognised) {
     // Fail loudly, once per process: a typo'd override silently running the
-    // thread backend would fake a process-isolation CI leg.
+    // thread backend would fake an isolated-backend CI leg.
     static std::atomic<bool> warned{false};
-    warn_env_once(warned, "MPCSD_BACKEND", env, "thread|process|socket",
+    warn_env_once(warned, "MPCSD_BACKEND", env, "thread|socket",
                   "using the thread backend");
-  }
-  if (resolved.kind == BackendKind::kProcess) {
-#if defined(__linux__)
-    return std::make_unique<ProcessBackend>(std::move(pool), recorder);
-#else
-    throw std::runtime_error(
-        "the process execution backend requires Linux (fork + memfd)");
-#endif
   }
   if (resolved.kind == BackendKind::kSocket) {
 #if defined(__linux__)

@@ -6,19 +6,17 @@
 //   * machine-body execution (this layer) — how the per-machine bodies of
 //     one round actually run and how their outputs come back.
 //
-// Three backends implement the contract:
+// Two backends implement the contract:
 //   * `ThreadBackend`  — the seed path: bodies run on the cluster's shared
 //     thread pool inside one address space.  Extracted verbatim; pinned
 //     byte-identical by the golden traces.
-//   * `ProcessBackend` — bodies run in forked worker processes.  A machine
+//   * `SocketBackend`  — bodies run in forked worker processes.  A machine
 //     body gets a copy-on-write snapshot of the host state; its writes are
 //     invisible to the host and to sibling machines, so a stray pointer
-//     physically cannot corrupt another machine's fragment.  Results travel
-//     back through per-worker shared-memory arenas (memfd) carrying the
-//     shared machine-result records, with framed round barriers over pipes.
-//   * `SocketBackend`  — bodies run in forked workers that connect back to
-//     the host's TCP coordinator and stream the same records as
-//     length-prefixed frames (transport_socket.hpp).  See docs/BACKENDS.md.
+//     physically cannot corrupt another machine's fragment.  Workers
+//     connect back to the host's TCP coordinator and stream the shared
+//     machine-result records as length-prefixed frames
+//     (transport_socket.hpp).  See docs/BACKENDS.md.
 //
 // Every backend owns a `Transport` (mpc/transport.hpp): the one framed
 // record layer all cross-machine bytes go through, with uniform
@@ -50,18 +48,16 @@ namespace mpcsd::mpc {
 class MachineContext;
 
 enum class BackendKind : std::uint8_t {
-  kAuto = 0,     ///< resolve from MPCSD_BACKEND (default: thread)
-  kThread = 1,   ///< shared-address-space thread pool (seed semantics)
-  kProcess = 2,  ///< forked worker processes + shared-memory result arenas
-  kSocket = 3,   ///< forked workers streaming frames over localhost TCP
+  kAuto = 0,    ///< resolve from MPCSD_BACKEND (default: thread)
+  kThread = 1,  ///< shared-address-space thread pool (seed semantics)
+  kSocket = 3,  ///< forked workers streaming frames over localhost TCP
 };
 
 /// Parses a `MPCSD_BACKEND` / `--backend` value; nullopt if unrecognised.
 [[nodiscard]] std::optional<BackendKind> backend_from_string(
     std::string_view name);
 
-/// Lower-case kind name ("auto" | "thread" | "process" | "socket"), for
-/// logs/flags.
+/// Lower-case kind name ("auto" | "thread" | "socket"), for logs/flags.
 [[nodiscard]] const char* backend_kind_name(BackendKind kind) noexcept;
 
 /// Pure resolution of a requested kind against an environment override —
@@ -118,7 +114,7 @@ class ExecutionBackend {
 /// Builds the backend for `kind` (resolving kAuto through MPCSD_BACKEND,
 /// warning once on an unrecognised value and falling back to the thread
 /// backend).  `pool` sizes the execution: thread workers or forked worker
-/// processes.  `recorder` feeds per-worker spans (process backend) into the
+/// processes.  `recorder` feeds per-worker spans (socket backend) into the
 /// one merged trace; may be null.
 std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind,
                                                std::shared_ptr<ThreadPool> pool,

@@ -57,7 +57,7 @@ struct ClusterConfig {
   /// RMW per machine; rounds with few machines keep perfect balancing.
   std::size_t grain = 0;
   /// How machine bodies execute: the shared thread pool (seed semantics)
-  /// or forked worker processes with shared-memory result arenas (physical
+  /// or forked worker processes streaming results over TCP frames (physical
   /// isolation).  kAuto resolves through MPCSD_BACKEND and defaults to
   /// thread.  Results and metering are backend-invariant; see backend.hpp.
   BackendKind backend = BackendKind::kAuto;
@@ -129,14 +129,14 @@ class MachineContext {
   /// communication: they never route, never count against memory or comm
   /// metering, and exist so drivers can read back per-machine results
   /// (answers, counters) without the body writing captured host state —
-  /// which the process backend makes physically impossible.  Stash content
+  /// which the socket backend makes physically impossible.  Stash content
   /// must be deterministic; the audit replay fingerprints it.
   void stash_append(Bytes bytes);
 
  private:
   friend class Cluster;
   friend class ThreadBackend;
-  /// The worker side of the isolating backends (process, socket) builds
+  /// The worker side of the isolating (socket) backend builds
   /// contexts through the shared partition runner in transport.cpp.
   friend BarrierRecord run_round_partition(const RoundWork& work,
                                            std::size_t begin, std::size_t end,
@@ -208,7 +208,7 @@ class Cluster {
   /// driver glue scales with the same worker budget as the rounds.
   [[nodiscard]] ThreadPool& pool() noexcept { return *pool_; }
 
-  /// The execution backend running machine bodies ("thread" | "process").
+  /// The execution backend running machine bodies ("thread" | "socket").
   [[nodiscard]] const ExecutionBackend& backend() const noexcept {
     return *backend_;
   }

@@ -406,7 +406,7 @@ class Driver {
 
   [[nodiscard]] const Plan& plan() const noexcept { return plan_; }
   [[nodiscard]] Cluster& cluster() noexcept { return cluster_; }
-  /// The backend executing this driver's rounds ("thread" | "process").
+  /// The backend executing this driver's rounds ("thread" | "socket").
   [[nodiscard]] const ExecutionBackend& backend() const noexcept {
     return cluster_.backend();
   }

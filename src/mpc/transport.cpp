@@ -37,7 +37,7 @@ FrameHeader decode_frame_header(const std::byte* data, std::size_t size) {
   }
   const auto tag = r.get<std::uint8_t>();
   if (tag < static_cast<std::uint8_t>(FrameTag::kHello) ||
-      tag > static_cast<std::uint8_t>(FrameTag::kPong)) {
+      tag > static_cast<std::uint8_t>(FrameTag::kError)) {
     throw FrameError("unknown frame tag " + std::to_string(tag));
   }
   const auto payload_bytes = r.get<std::uint64_t>();
@@ -54,13 +54,9 @@ bool FrameStream::send(FrameTag tag, ByteSpan payload) {
   header.reserve(kFrameHeaderBytes);
   encode_frame_header(header, tag, payload.size());
   const bool ok =
-      medium_ == Medium::kSocket
-          ? io::write_full_nosignal(fd_, header.bytes().data(),
-                                    header.bytes().size()) &&
-                io::write_full_nosignal(fd_, payload.data(), payload.size())
-          : io::write_full(fd_, header.bytes().data(),
-                           header.bytes().size()) &&
-                io::write_full(fd_, payload.data(), payload.size());
+      io::write_full_nosignal(fd_, header.bytes().data(),
+                              header.bytes().size()) &&
+      io::write_full_nosignal(fd_, payload.data(), payload.size());
   if (ok && counters_ != nullptr) {
     ++counters_->frames_sent;
     counters_->bytes_sent += kFrameHeaderBytes + payload.size();
@@ -77,10 +73,19 @@ std::optional<Frame> FrameStream::recv() {
   const FrameHeader h = decode_frame_header(header.data(), header.size());
   Frame frame;
   frame.tag = h.tag;
-  frame.payload.resize(h.payload_bytes);
-  if (h.payload_bytes > 0 &&
-      !io::read_full(fd_, frame.payload.data(), frame.payload.size())) {
-    throw FrameError("frame payload cut short: peer closed mid-message");
+  // Grow the buffer as bytes arrive (a first chunk, then at most doubling),
+  // so a header declaring up to kMaxFramePayload from a peer that then
+  // goes quiet costs what it actually sent, not what it declared.
+  constexpr std::uint64_t kFirstChunk = std::uint64_t{1} << 16;
+  std::uint64_t have = 0;
+  while (have < h.payload_bytes) {
+    const std::uint64_t grow_to =
+        std::min(h.payload_bytes, std::max(kFirstChunk, 2 * have));
+    frame.payload.resize(static_cast<std::size_t>(grow_to));
+    if (!io::read_full(fd_, frame.payload.data() + have, grow_to - have)) {
+      throw FrameError("frame payload cut short: peer closed mid-message");
+    }
+    have = grow_to;
   }
   if (counters_ != nullptr) {
     ++counters_->frames_received;
@@ -100,7 +105,7 @@ void encode_barrier(ByteWriter& w, const BarrierRecord& record) {
 BarrierRecord decode_barrier(ByteReader& r) {
   BarrierRecord record;
   record.status = r.get<std::uint8_t>();
-  if (record.status > kWorkerPublishFailed) {
+  if (record.status > kWorkerBodyThrew) {
     throw FrameError("unknown worker status " +
                      std::to_string(record.status) + " in barrier record");
   }
@@ -111,40 +116,13 @@ BarrierRecord decode_barrier(ByteReader& r) {
 
 void encode_hello(ByteWriter& w, const HelloRecord& record) {
   w.put<std::uint32_t>(record.slot);
-  w.put<std::uint8_t>(record.body_affinity);
   w.put<std::uint64_t>(record.round);
 }
 
 HelloRecord decode_hello(ByteReader& r) {
   HelloRecord record;
   record.slot = r.get<std::uint32_t>();
-  record.body_affinity = r.get<std::uint8_t>();
-  if (record.body_affinity > 1) {
-    throw FrameError("bad body-affinity flag " +
-                     std::to_string(record.body_affinity) + " in hello");
-  }
   record.round = r.get<std::uint64_t>();
-  return record;
-}
-
-void encode_assign(ByteWriter& w, const AssignRecord& record) {
-  w.put<std::uint64_t>(record.round);
-  w.put<std::uint64_t>(record.seed);
-  w.put<std::uint64_t>(record.begin);
-  w.put<std::uint64_t>(record.end);
-}
-
-AssignRecord decode_assign(ByteReader& r) {
-  AssignRecord record;
-  record.round = r.get<std::uint64_t>();
-  record.seed = r.get<std::uint64_t>();
-  record.begin = r.get<std::uint64_t>();
-  record.end = r.get<std::uint64_t>();
-  if (record.begin > record.end) {
-    throw FrameError("inverted machine range [" +
-                     std::to_string(record.begin) + ", " +
-                     std::to_string(record.end) + ") in assign record");
-  }
   return record;
 }
 

@@ -7,21 +7,15 @@
 //                                   control records, framed messages
 //   byte streams (common/io.hpp)    EINTR-safe fd reads/writes
 //
-// Before this layer existed the middle tier was smeared across three
-// ad-hoc copies: the in-process router moved `Envelope`s directly, the
-// process backend hand-rolled the same record layout into its memfd
-// arenas plus a bespoke 17-byte pipe barrier, and a socket backend would
-// have been a fourth copy.  Now every backend speaks the same records:
+// Every backend speaks the same records:
 //
 //   * `Envelope`            one routed message (the unit of communication
-//                           metering) — moved here from cluster.hpp, since
-//                           it *is* the transport's data unit;
+//                           metering) — the transport's data unit;
 //   * machine-result record the (report, stash, outbox) triple one machine
-//                           produced, in the exact byte layout the process
-//                           backend's arenas pinned in PR 7;
-//   * `BarrierRecord`       the end-of-round worker status (the former
-//                           17-byte pipe barrier, now a frame payload);
-//   * control records       hello / assign handshakes for remote workers.
+//                           produced;
+//   * `BarrierRecord`       the end-of-round worker status (17 bytes, a
+//                           frame payload);
+//   * `HelloRecord`         a forked worker's connect-back handshake.
 //
 // Frames wrap records for fd-based transports: a fixed 14-byte header
 // (magic, version, tag, payload length — all length-prefixed, validated
@@ -30,7 +24,7 @@
 // spine can report frames/bytes/flushes/barrier-waits per backend.
 //
 // Determinism contract: records are pure functions of machine outputs —
-// byte-identical across {thread, process, socket} backends and worker
+// byte-identical across {thread, socket} backends and worker
 // counts, pinned by test_determinism.cpp and the golden traces.
 #pragma once
 
@@ -65,19 +59,15 @@ class FrameError : public std::runtime_error {
 
 /// Message kinds carried on a frame stream.
 enum class FrameTag : std::uint8_t {
-  kHello = 1,     ///< worker -> coordinator: slot, body affinity, round
-  kAssign = 2,    ///< coordinator -> worker: round, seed, machine range
-  kResults = 3,   ///< worker -> coordinator: machine-result records
-  kBarrier = 4,   ///< worker -> coordinator: end-of-round BarrierRecord
-  kError = 5,     ///< worker -> coordinator: failure message (string)
-  kShutdown = 6,  ///< coordinator -> worker: disconnect, reason (string)
-  kPing = 7,      ///< liveness probe (payload echoed back)
-  kPong = 8,      ///< liveness reply
+  kHello = 1,    ///< worker -> coordinator: slot, round
+  kResults = 2,  ///< worker -> coordinator: machine-result records
+  kBarrier = 3,  ///< worker -> coordinator: end-of-round BarrierRecord
+  kError = 4,    ///< worker -> coordinator: failure message (string)
 };
 
 /// "MPCF" little-endian; the first 4 bytes of every frame.
 inline constexpr std::uint32_t kFrameMagic = 0x4643504Du;
-inline constexpr std::uint8_t kFrameVersion = 1;
+inline constexpr std::uint8_t kFrameVersion = 2;
 /// magic u32 + version u8 + tag u8 + payload length u64.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 1 + 8;
 /// Hard cap on one frame's payload; a length past this is rejected before
@@ -110,7 +100,7 @@ void encode_frame_header(ByteWriter& w, FrameTag tag,
 /// Uniform counters every transport maintains; surfaced on the obs spine
 /// as `transport.*` after each round.  What a "frame" is depends on the
 /// transport (see docs/BACKENDS.md): an envelope handed to the in-process
-/// router, one published arena for shm, one wire frame for tcp.
+/// router, one wire frame for tcp.
 struct TransportCounters {
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_received = 0;
@@ -134,8 +124,8 @@ class Transport {
   TransportCounters counters_;
 };
 
-/// Counter-only transport for backends whose wire is a memory move (the
-/// in-process router) or a shared-memory arena (the process backend).
+/// Counter-only transport for a backend whose wire is a memory move (the
+/// in-process router).
 class CountingTransport final : public Transport {
  public:
   explicit CountingTransport(const char* name) noexcept : name_(name) {}
@@ -145,31 +135,28 @@ class CountingTransport final : public Transport {
   const char* name_;
 };
 
-/// Framed messages over an fd (round-barrier pipes, TCP sockets).  Does
-/// not own the fd.  `counters` (optional) meters every frame moved.
+/// Framed messages over an fd (TCP sockets; pipes in tests).  Does not
+/// own the fd.  `counters` (optional) meters every frame moved.
 class FrameStream {
  public:
-  enum class Medium : std::uint8_t {
-    kPipe,    ///< plain write()
-    kSocket,  ///< send(MSG_NOSIGNAL): peer loss is an error, not SIGPIPE
-  };
+  explicit FrameStream(int fd, TransportCounters* counters = nullptr) noexcept
+      : fd_(fd), counters_(counters) {}
 
-  explicit FrameStream(int fd, TransportCounters* counters = nullptr,
-                       Medium medium = Medium::kPipe) noexcept
-      : fd_(fd), counters_(counters), medium_(medium) {}
-
-  /// Sends one frame (header + payload).  False on a write failure.
+  /// Sends one frame (header + payload) with send(MSG_NOSIGNAL), so a lost
+  /// peer is a `false` return rather than SIGPIPE (io::write_full_nosignal;
+  /// plain writes on a non-socket fd).  False on a write failure.
   [[nodiscard]] bool send(FrameTag tag, ByteSpan payload);
 
   /// Receives one frame.  nullopt when the peer closed before a header
   /// arrived (clean EOF); FrameError on a malformed header or a payload
-  /// cut short (the peer died mid-message).
+  /// cut short (the peer died mid-message).  The payload buffer grows as
+  /// bytes arrive, so a header that declares more than the peer sends
+  /// cannot force an allocation of the declared size.
   [[nodiscard]] std::optional<Frame> recv();
 
  private:
   int fd_;
   TransportCounters* counters_;
-  Medium medium_;
 };
 
 // --- wire records ------------------------------------------------------
@@ -177,11 +164,9 @@ class FrameStream {
 /// Worker status carried in a BarrierRecord.
 inline constexpr std::uint8_t kWorkerOk = 0;
 inline constexpr std::uint8_t kWorkerBodyThrew = 1;
-inline constexpr std::uint8_t kWorkerPublishFailed = 2;
 
 /// End-of-round worker report: status byte, result byte count, body wall
-/// seconds.  Exactly the process backend's original 17-byte pipe barrier
-/// (u8 + u64 + double, packed by ByteWriter — no struct padding).
+/// seconds (u8 + u64 + double, packed by ByteWriter — no struct padding).
 struct BarrierRecord {
   std::uint8_t status = kWorkerOk;
   std::uint64_t result_bytes = 0;
@@ -194,34 +179,19 @@ void encode_barrier(ByteWriter& w, const BarrierRecord& record);
 /// ContractViolation as everywhere else).
 [[nodiscard]] BarrierRecord decode_barrier(ByteReader& r);
 
-/// Worker slot of a connection with no machine partition (an external
-/// `mpcsd_cli --worker` joining for control traffic only).
-inline constexpr std::uint32_t kWorkerSlotNone = 0xFFFFFFFFu;
-
-/// Worker -> coordinator handshake.
+/// Worker -> coordinator handshake: the pool slot the worker was forked
+/// for and the round it runs.  The machine range follows from the slot.
 struct HelloRecord {
-  std::uint32_t slot = kWorkerSlotNone;
-  std::uint8_t body_affinity = 0;  ///< 1: forked from this round's host
+  std::uint32_t slot = 0;
   std::uint64_t round = 0;
-};
-
-/// Coordinator -> worker round assignment (echoes the partition so both
-/// sides agree before any body runs).
-struct AssignRecord {
-  std::uint64_t round = 0;
-  std::uint64_t seed = 0;
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
 };
 
 void encode_hello(ByteWriter& w, const HelloRecord& record);
 [[nodiscard]] HelloRecord decode_hello(ByteReader& r);
-void encode_assign(ByteWriter& w, const AssignRecord& record);
-[[nodiscard]] AssignRecord decode_assign(ByteReader& r);
 
 /// Appends one machine-result record — report, stash, then the outbox as
-/// a count plus (dest, payload) pairs.  This is the PR 7 arena layout,
-/// byte for byte; docs/BACKENDS.md documents it as the wire contract.
+/// a count plus (dest, payload) pairs.  docs/BACKENDS.md documents it as
+/// the wire contract.
 void encode_machine_result(ByteWriter& w, const MachineReport& report,
                            const Bytes& stash,
                            const std::vector<Envelope>& outbox);
@@ -232,13 +202,13 @@ void encode_machine_result(ByteWriter& w, const MachineReport& report,
 void decode_machine_result(ByteReader& r, MachineReport* report, Bytes* stash,
                            std::vector<Envelope>* outbox);
 
-// --- worker-side round execution (shared by isolating backends) --------
+// --- worker-side round execution (socket backend) ----------------------
 
 /// Runs machines [begin, end) of `work` serially — the worker side of the
-/// process and socket backends, where pool threads did not survive the
-/// fork — appending one machine-result record per machine to `out`.  On a
-/// body exception `out` is replaced by the exception message (put_string)
-/// and the returned status says kWorkerBodyThrew.  The returned
+/// socket backend, where pool threads did not survive the fork — appending
+/// one machine-result record per machine to `out`.  On a body exception
+/// `out` is replaced by the exception message (put_string) and the
+/// returned status says kWorkerBodyThrew.  The returned
 /// result_bytes is out's final size; body_seconds covers the body loop.
 [[nodiscard]] BarrierRecord run_round_partition(const RoundWork& work,
                                                 std::size_t begin,

@@ -5,43 +5,30 @@
 
 namespace mpcsd::mpc {
 
-std::vector<HostPort> parse_host_port_list(std::string_view text) {
-  std::vector<HostPort> out;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', pos), text.size());
-    std::string_view entry = text.substr(pos, comma - pos);
-    while (!entry.empty() && entry.front() == ' ') entry.remove_prefix(1);
-    while (!entry.empty() && entry.back() == ' ') entry.remove_suffix(1);
-    if (entry.empty()) {
-      throw std::invalid_argument("empty host:port entry in '" +
+HostPort parse_host_port(std::string_view text) {
+  while (!text.empty() && text.front() == ' ') text.remove_prefix(1);
+  while (!text.empty() && text.back() == ' ') text.remove_suffix(1);
+  const std::size_t colon = text.rfind(':');
+  if (colon == std::string_view::npos || colon == 0 ||
+      colon + 1 == text.size() ||
+      text.find(',') != std::string_view::npos) {
+    throw std::invalid_argument("expected host:port, got '" +
+                                std::string(text) + "'");
+  }
+  std::uint32_t port = 0;
+  for (const char c : text.substr(colon + 1)) {
+    if (c < '0' || c > '9') {
+      throw std::invalid_argument("non-numeric port in '" +
                                   std::string(text) + "'");
     }
-    const std::size_t colon = entry.rfind(':');
-    if (colon == std::string_view::npos || colon == 0 ||
-        colon + 1 == entry.size()) {
-      throw std::invalid_argument("expected host:port, got '" +
-                                  std::string(entry) + "'");
+    port = port * 10 + static_cast<std::uint32_t>(c - '0');
+    if (port > 65535) {
+      throw std::invalid_argument("port out of range in '" +
+                                  std::string(text) + "'");
     }
-    std::uint32_t port = 0;
-    for (const char c : entry.substr(colon + 1)) {
-      if (c < '0' || c > '9') {
-        throw std::invalid_argument("non-numeric port in '" +
-                                    std::string(entry) + "'");
-      }
-      port = port * 10 + static_cast<std::uint32_t>(c - '0');
-      if (port > 65535) {
-        throw std::invalid_argument("port out of range in '" +
-                                    std::string(entry) + "'");
-      }
-    }
-    out.push_back(HostPort{std::string(entry.substr(0, colon)),
-                           static_cast<std::uint16_t>(port)});
-    if (comma == text.size()) break;
-    pos = comma + 1;
   }
-  if (out.empty()) throw std::invalid_argument("empty host:port list");
-  return out;
+  return HostPort{std::string(text.substr(0, colon)),
+                  static_cast<std::uint16_t>(port)};
 }
 
 }  // namespace mpcsd::mpc
@@ -71,16 +58,14 @@ namespace mpcsd::mpc {
 
 namespace {
 
-/// Covers the widest pool fan-out plus stray external workers queueing
-/// between rounds.
+/// Covers the widest pool fan-out.
 constexpr int kListenBacklog = 64;
 /// Poll slice between dead-child checks while waiting for connect-backs.
 constexpr int kAcceptPollMs = 200;
 /// Total wait for a forked worker to connect before the round fails.
 constexpr int kAcceptTimeoutMs = 30000;
-/// Child exit codes (diagnostic; failures are detected via the stream).
+/// Child exit code (diagnostic; failures are detected via the stream).
 constexpr int kChildConnectFailed = 3;
-constexpr int kChildBadAssign = 4;
 
 std::string errno_detail(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
@@ -113,7 +98,7 @@ HostPort listen_address_from_env() {
   const char* env = std::getenv("MPCSD_SOCKET_LISTEN");
   if (env == nullptr || *env == '\0') return fallback;
   try {
-    return parse_host_port_list(env).front();
+    return parse_host_port(env);
   } catch (const std::invalid_argument&) {
     static std::atomic<bool> warned{false};
     warn_env_once(warned, "MPCSD_SOCKET_LISTEN", env, "host:port",
@@ -219,30 +204,17 @@ SocketBackend::SocketBackend(std::shared_ptr<ThreadPool> pool,
 void SocketBackend::run_worker(const RoundWork& work, std::uint32_t slot,
                                std::size_t begin, std::size_t end,
                                const HostPort& coordinator) {
-  // The forked child: same copy-on-write snapshot semantics as the process
-  // backend's workers; only the result wire differs (TCP frames instead of
-  // a shared-memory arena).
+  // The forked child: pool threads did not survive the fork, so the
+  // partition runs serially.  Everything the bodies read (inputs, captured
+  // driver state) is a copy-on-write snapshot of the host at fork time;
+  // everything they produce leaves only through the frames below.
   int fd = SocketTransport::connect_to(coordinator);
   if (fd < 0) ::_exit(kChildConnectFailed);
-  FrameStream stream(fd, nullptr, FrameStream::Medium::kSocket);
+  FrameStream stream(fd);
   ByteWriter hello;
-  encode_hello(hello, HelloRecord{slot, /*body_affinity=*/1, work.round});
+  encode_hello(hello, HelloRecord{slot, work.round});
   if (!stream.send(FrameTag::kHello, ByteSpan(hello.bytes()))) {
     ::_exit(kChildConnectFailed);
-  }
-  try {
-    const auto frame = stream.recv();
-    if (!frame.has_value() || frame->tag != FrameTag::kAssign) {
-      ::_exit(kChildBadAssign);
-    }
-    ByteReader r(frame->payload);
-    const AssignRecord assign = decode_assign(r);
-    if (assign.round != work.round || assign.begin != begin ||
-        assign.end != end) {
-      ::_exit(kChildBadAssign);
-    }
-  } catch (const std::exception&) {
-    ::_exit(kChildBadAssign);
   }
   ByteWriter out;
   const BarrierRecord barrier = run_round_partition(work, begin, end, out);
@@ -300,8 +272,6 @@ void SocketBackend::execute(const RoundWork& work) {
   }
 
   // Connect-back phase: accept until every forked worker has checked in.
-  // External protocol workers (body_affinity=0) may also arrive here; they
-  // cannot run closure rounds, so they are sent a reasoned shutdown.
   TransportCounters& counters = transport_->counters();
   std::size_t connected = 0;
   int waited_ms = 0;
@@ -332,8 +302,7 @@ void SocketBackend::execute(const RoundWork& work) {
       }
       continue;
     }
-    auto stream = std::make_unique<FrameStream>(fd, &counters,
-                                                FrameStream::Medium::kSocket);
+    auto stream = std::make_unique<FrameStream>(fd, &counters);
     try {
       const auto frame = stream->recv();
       if (!frame.has_value() || frame->tag != FrameTag::kHello) {
@@ -342,15 +311,6 @@ void SocketBackend::execute(const RoundWork& work) {
       }
       ByteReader r(frame->payload);
       const HelloRecord hello = decode_hello(r);
-      if (hello.body_affinity == 0) {
-        ByteWriter reason;
-        reason.put_string(
-            "coordinator runs closure rounds; only forked body-affine "
-            "workers can serve them (see docs/BACKENDS.md)");
-        (void)stream->send(FrameTag::kShutdown, ByteSpan(reason.bytes()));
-        io::close_fd(fd);
-        continue;
-      }
       if (hello.slot >= workers || hello.round != work.round ||
           slots[hello.slot].stream != nullptr) {
         io::close_fd(fd);
@@ -360,15 +320,6 @@ void SocketBackend::execute(const RoundWork& work) {
         continue;
       }
       Slot& s = slots[hello.slot];
-      ByteWriter assign;
-      encode_assign(assign, AssignRecord{work.round, work.seed, s.begin,
-                                         s.end});
-      if (!stream->send(FrameTag::kAssign, ByteSpan(assign.bytes()))) {
-        io::close_fd(fd);
-        failure = "socket backend: failed to send assignment for machines [" +
-                  std::to_string(s.begin) + ", " + std::to_string(s.end) + ")";
-        continue;
-      }
       s.fd = fd;
       s.stream = std::move(stream);
       ++connected;
@@ -380,8 +331,9 @@ void SocketBackend::execute(const RoundWork& work) {
 
   // Collection: read each worker's results + barrier in slot order (the
   // decode writes by machine index, so arrival order cannot perturb
-  // results), then reap.  On a failure, un-connected children blocked in
-  // their handshake are killed so the reap below cannot deadlock.
+  // results), then reap.  On a failure, children without a barrier (still
+  // connecting, or blocked writing frames nobody reads) are killed so the
+  // reap below cannot deadlock.
   for (std::size_t w = 0; w < slots.size(); ++w) {
     Slot& s = slots[w];
     BarrierRecord barrier;
@@ -427,10 +379,6 @@ void SocketBackend::execute(const RoundWork& work) {
       while (::waitpid(s.pid, &wait_status, 0) < 0 && errno == EINTR) {
       }
     }
-    if (got_barrier && failure.empty() &&
-        barrier.status == kWorkerPublishFailed) {
-      failure = "socket backend: worker could not publish its results";
-    }
     if (traced && got_barrier) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::kSpan;
@@ -446,77 +394,6 @@ void SocketBackend::execute(const RoundWork& work) {
   }
 
   if (!failure.empty()) throw std::runtime_error(failure);
-}
-
-int run_socket_worker(const std::vector<HostPort>& coordinators,
-                      std::FILE* log) {
-  int fd = -1;
-  const HostPort* picked = nullptr;
-  for (const HostPort& target : coordinators) {
-    fd = SocketTransport::connect_to(target);
-    if (fd >= 0) {
-      picked = &target;
-      break;
-    }
-    std::fprintf(log, "mpcsd worker: %s:%u unreachable\n", target.host.c_str(),
-                 static_cast<unsigned>(target.port));
-  }
-  if (fd < 0) {
-    std::fprintf(log, "mpcsd worker: no reachable coordinator\n");
-    return 1;
-  }
-  std::fprintf(log, "mpcsd worker: connected to %s:%u\n", picked->host.c_str(),
-               static_cast<unsigned>(picked->port));
-  FrameStream stream(fd, nullptr, FrameStream::Medium::kSocket);
-  ByteWriter hello;
-  encode_hello(hello, HelloRecord{kWorkerSlotNone, /*body_affinity=*/0, 0});
-  if (!stream.send(FrameTag::kHello, ByteSpan(hello.bytes()))) {
-    std::fprintf(log, "mpcsd worker: handshake write failed\n");
-    io::close_fd(fd);
-    return 1;
-  }
-  try {
-    while (auto frame = stream.recv()) {
-      switch (frame->tag) {
-        case FrameTag::kPing:
-          if (!stream.send(FrameTag::kPong, ByteSpan(frame->payload))) {
-            std::fprintf(log, "mpcsd worker: pong write failed\n");
-            io::close_fd(fd);
-            return 1;
-          }
-          break;
-        case FrameTag::kShutdown: {
-          std::string reason;
-          if (!frame->payload.empty()) {
-            ByteReader r(frame->payload);
-            reason = r.get_string();
-          }
-          std::fprintf(log, "mpcsd worker: shutdown%s%s\n",
-                       reason.empty() ? "" : ": ", reason.c_str());
-          io::close_fd(fd);
-          return 0;
-        }
-        case FrameTag::kAssign: {
-          // No body affinity: closure rounds cannot be shipped here (the
-          // registered-plan protocol is the ROADMAP's next step).
-          ByteWriter msg;
-          msg.put_string(
-              "worker has no body affinity; cannot run closure rounds");
-          (void)stream.send(FrameTag::kError, ByteSpan(msg.bytes()));
-          break;
-        }
-        default:
-          break;  // tolerate other valid control frames
-      }
-    }
-    std::fprintf(log, "mpcsd worker: coordinator closed the connection\n");
-    io::close_fd(fd);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(log, "mpcsd worker: protocol error: %s\n", e.what());
-    io::close_fd(fd);
-    return 1;
-  }
 }
 
 }  // namespace mpcsd::mpc

@@ -8,38 +8,27 @@
 // enforced by lint Rule 8 and mpcsd_verify.
 //
 // `SocketBackend` runs a round as: fork one worker per pool slot (machine
-// bodies are C++ closures, so workers must share the host's address-space
-// snapshot — the same copy-on-write affinity the process backend uses);
-// each worker connects back to the coordinator and the two sides speak
-// frames end to end:
+// bodies are C++ closures, so workers run on a copy-on-write snapshot of
+// the host's address space); each worker already knows its slot, round
+// and machine range from the fork, connects back to the coordinator and
+// streams three frames:
 //
-//   worker -> kHello   {slot, body_affinity=1, round}
-//   host   -> kAssign  {round, seed, begin, end}   (echo-validated)
+//   worker -> kHello   {slot, round}
 //   worker -> kResults machine-result records for [begin, end)
 //             (or kError with the body's exception message)
 //   worker -> kBarrier {status, result bytes, body wall seconds}
 //
-// Results and metering are byte-identical to the thread and process
-// backends (same records, same decode path); only the wire differs.
-//
-// `mpcsd_cli --worker host:port[,host:port...]` runs `run_socket_worker`:
-// a standalone protocol worker that connects to a coordinator, announces
-// body_affinity=0, and serves control frames (ping/pong, shutdown).  A
-// coordinator turns such workers away from closure rounds — shipping
-// registered plans to remote workers is the ROADMAP's next step; the
-// handshake, framing, and host:port plumbing here are its scaffolding.
-// See docs/BACKENDS.md.
+// Results and metering are byte-identical to the thread backend (same
+// records); only the wire differs.  See docs/BACKENDS.md.
 //
 // Linux-only (fork + TCP loopback); `make_backend` refuses the kind
-// elsewhere.  `parse_host_port_list` is portable and always available.
+// elsewhere.  `parse_host_port` is portable and always available.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "mpc/backend.hpp"
@@ -53,11 +42,10 @@ struct HostPort {
   std::uint16_t port = 0;
 };
 
-/// Parses "host:port" or a comma-separated list of them ("127.0.0.1:7000,
-/// 10.0.0.2:7000").  Throws std::invalid_argument on an empty list, a
-/// missing colon, or a port outside [0, 65535].
-[[nodiscard]] std::vector<HostPort> parse_host_port_list(
-    std::string_view text);
+/// Parses "host:port" (surrounding spaces ignored).  Throws
+/// std::invalid_argument on an empty host or port, a missing colon, or a
+/// port outside [0, 65535].
+[[nodiscard]] HostPort parse_host_port(std::string_view text);
 
 #if defined(__linux__)
 
@@ -105,8 +93,8 @@ class SocketBackend final : public ExecutionBackend {
 
   void execute(const RoundWork& work) override;
 
-  /// Forked bodies write copy-on-write pages, exactly like the process
-  /// backend; the TCP hop changes the wire, not the isolation.
+  /// Forked bodies write copy-on-write pages; nothing they do can reach
+  /// the host's or a sibling machine's memory.
   [[nodiscard]] bool isolates_machine_memory() const noexcept override {
     return true;
   }
@@ -118,7 +106,7 @@ class SocketBackend final : public ExecutionBackend {
   }
 
  private:
-  /// Child-side: connect back, handshake, run machines [begin, end)
+  /// Child-side: connect back, send hello, run machines [begin, end)
   /// (run_round_partition), stream results + barrier.  Caller `_exit`s.
   static void run_worker(const RoundWork& work, std::uint32_t slot,
                          std::size_t begin, std::size_t end,
@@ -128,14 +116,6 @@ class SocketBackend final : public ExecutionBackend {
   obs::Recorder* recorder_;
   std::unique_ptr<SocketTransport> transport_;
 };
-
-/// Standalone protocol worker (`mpcsd_cli --worker`): connects to the
-/// first reachable coordinator in `coordinators`, announces itself with
-/// body_affinity=0, then serves control frames until kShutdown or the
-/// coordinator disconnects.  Progress goes to `log` (e.g. stderr).
-/// Returns a process exit code (0 on an orderly shutdown/disconnect).
-int run_socket_worker(const std::vector<HostPort>& coordinators,
-                      std::FILE* log);
 
 #endif  // defined(__linux__)
 

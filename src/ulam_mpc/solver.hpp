@@ -42,7 +42,7 @@ struct UlamMpcParams {
   /// DESIGN.md ablation.
   seq::GapCost combine_gap = seq::GapCost::kMax;
   /// Execution backend for the owned cluster (see mpc/backend.hpp):
-  /// kAuto honours MPCSD_BACKEND, kThread/kProcess pin it.
+  /// kAuto honours MPCSD_BACKEND, kThread/kSocket pin it.
   mpc::BackendKind backend = mpc::BackendKind::kAuto;
   /// Model-conformance auditing of the pipeline's rounds (see mpc/audit.hpp).
   mpc::AuditOptions audit{};

@@ -28,7 +28,7 @@ ClusterConfig audited_config(std::size_t workers = 1) {
   // These tests exercise the shared-address-space detectors (canary pads,
   // poison, schedule-dependent shared state), which only exist — and whose
   // planted violations only manifest — on the thread backend.  Pin it so
-  // an MPCSD_BACKEND=process environment doesn't discharge them.
+  // an MPCSD_BACKEND=socket environment doesn't discharge them.
   config.backend = BackendKind::kThread;
   config.audit.enabled = true;
   config.audit.fail_fast = false;

@@ -1,13 +1,13 @@
 // The transport layer: frame header validation, wire-record round trips
-// (barrier / hello / assign / machine results), FrameStream over real fds,
-// the EINTR-safe io helpers, host:port parsing, and the standalone socket
-// worker's control-frame protocol against a mock coordinator.
+// (barrier / hello / machine results), FrameStream over real fds, the
+// EINTR-safe io helpers, host:port parsing, and the socket transport's
+// listen/accept/connect edge cases.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,10 +29,8 @@ Bytes header_bytes(FrameTag tag, std::uint64_t payload_bytes) {
 }
 
 TEST(Frame, HeaderRoundTripsEveryTag) {
-  for (const auto tag :
-       {FrameTag::kHello, FrameTag::kAssign, FrameTag::kResults,
-        FrameTag::kBarrier, FrameTag::kError, FrameTag::kShutdown,
-        FrameTag::kPing, FrameTag::kPong}) {
+  for (const auto tag : {FrameTag::kHello, FrameTag::kResults,
+                         FrameTag::kBarrier, FrameTag::kError}) {
     const Bytes raw = header_bytes(tag, 12345);
     ASSERT_EQ(raw.size(), kFrameHeaderBytes);
     const FrameHeader h = decode_frame_header(raw.data(), raw.size());
@@ -61,8 +59,8 @@ TEST(Frame, UnsupportedVersionThrows) {
 }
 
 TEST(Frame, UnknownTagThrows) {
-  for (const std::uint8_t tag : {std::uint8_t{0}, std::uint8_t{9},
-                                 std::uint8_t{0xFF}}) {
+  for (const std::uint8_t tag : {std::uint8_t{0}, std::uint8_t{5},
+                                 std::uint8_t{9}, std::uint8_t{0xFF}}) {
     Bytes raw = header_bytes(FrameTag::kHello, 0);
     raw[5] = std::byte{tag};
     EXPECT_THROW((void)decode_frame_header(raw.data(), raw.size()), FrameError)
@@ -83,7 +81,6 @@ TEST(Records, BarrierRoundTripsAndIsPinnedTo17Bytes) {
   const BarrierRecord in{kWorkerBodyThrew, 987654321, 1.5};
   ByteWriter w;
   encode_barrier(w, in);
-  // The former process-backend pipe barrier layout, byte for byte.
   ASSERT_EQ(w.bytes().size(), kBarrierRecordBytes);
   ByteReader r(w.bytes().data(), w.bytes().size());
   const BarrierRecord out = decode_barrier(r);
@@ -96,42 +93,19 @@ TEST(Records, BarrierRejectsUnknownStatus) {
   ByteWriter w;
   encode_barrier(w, BarrierRecord{});
   Bytes raw(w.bytes().begin(), w.bytes().end());
-  raw[0] = std::byte{kWorkerPublishFailed + 1};
+  raw[0] = std::byte{kWorkerBodyThrew + 1};
   ByteReader r(raw.data(), raw.size());
   EXPECT_THROW((void)decode_barrier(r), FrameError);
 }
 
-TEST(Records, HelloAndAssignRoundTrip) {
+TEST(Records, HelloRoundTrips) {
   ByteWriter w;
-  encode_hello(w, HelloRecord{7, 1, 42});
+  encode_hello(w, HelloRecord{7, 42});
+  ASSERT_EQ(w.bytes().size(), 4u + 8u);  // slot u32 + round u64
   ByteReader r(w.bytes().data(), w.bytes().size());
   const HelloRecord hello = decode_hello(r);
   EXPECT_EQ(hello.slot, 7u);
-  EXPECT_EQ(hello.body_affinity, 1);
   EXPECT_EQ(hello.round, 42u);
-
-  ByteWriter w2;
-  encode_assign(w2, AssignRecord{42, 0xDEADBEEF, 3, 11});
-  ByteReader r2(w2.bytes().data(), w2.bytes().size());
-  const AssignRecord assign = decode_assign(r2);
-  EXPECT_EQ(assign.round, 42u);
-  EXPECT_EQ(assign.seed, 0xDEADBEEFu);
-  EXPECT_EQ(assign.begin, 3u);
-  EXPECT_EQ(assign.end, 11u);
-}
-
-TEST(Records, HelloRejectsBadAffinityAssignRejectsInvertedRange) {
-  ByteWriter w;
-  encode_hello(w, HelloRecord{1, 1, 0});
-  Bytes raw(w.bytes().begin(), w.bytes().end());
-  raw[4] = std::byte{2};  // affinity is a boolean on the wire
-  ByteReader r(raw.data(), raw.size());
-  EXPECT_THROW((void)decode_hello(r), FrameError);
-
-  ByteWriter w2;
-  encode_assign(w2, AssignRecord{0, 0, /*begin=*/9, /*end=*/3});
-  ByteReader r2(w2.bytes().data(), w2.bytes().size());
-  EXPECT_THROW((void)decode_assign(r2), FrameError);
 }
 
 TEST(Records, MachineResultRoundTrips) {
@@ -191,10 +165,10 @@ TEST(FrameStream, RoundTripsOverAPipeAndMeters) {
 
   ByteWriter payload;
   payload.put_string("the payload");
-  ASSERT_TRUE(writer.send(FrameTag::kPing, ByteSpan(payload.bytes())));
+  ASSERT_TRUE(writer.send(FrameTag::kError, ByteSpan(payload.bytes())));
   const auto frame = reader.recv();
   ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->tag, FrameTag::kPing);
+  EXPECT_EQ(frame->tag, FrameTag::kError);
   ByteReader r(frame->payload);
   EXPECT_EQ(r.get_string(), "the payload");
 
@@ -211,17 +185,28 @@ TEST(FrameStream, RoundTripsOverAPipeAndMeters) {
 }
 
 TEST(FrameStream, PayloadCutShortIsAFrameError) {
-  int fds[2] = {-1, -1};
-  ASSERT_EQ(::pipe(fds), 0);
-  // A header promising 64 bytes, then only 3 bytes before EOF.
-  const Bytes head = header_bytes(FrameTag::kResults, 64);
-  ASSERT_TRUE(io::write_full(fds[1], head.data(), head.size()));
-  const char partial[3] = {'a', 'b', 'c'};
-  ASSERT_TRUE(io::write_full(fds[1], partial, sizeof(partial)));
-  io::close_fd(fds[1]);
-  FrameStream reader(fds[0]);
-  EXPECT_THROW((void)reader.recv(), FrameError);
-  io::close_fd(fds[0]);
+  // A header promising `declared` bytes, then only `partial` before EOF.
+  // The largest declared size must fail without allocating it: the
+  // receive buffer grows with the bytes that actually arrive.
+  auto peak_rss_kb = [] {
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    return static_cast<long>(usage.ru_maxrss);
+  };
+  const std::string partial = "abc";
+  for (const std::uint64_t declared : {std::uint64_t{64}, kMaxFramePayload}) {
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::pipe(fds), 0);
+    const Bytes head = header_bytes(FrameTag::kResults, declared);
+    ASSERT_TRUE(io::write_full(fds[1], head.data(), head.size()));
+    ASSERT_TRUE(io::write_full(fds[1], partial.data(), partial.size()));
+    io::close_fd(fds[1]);
+    const long rss_before = peak_rss_kb();
+    FrameStream reader(fds[0]);
+    EXPECT_THROW((void)reader.recv(), FrameError) << declared;
+    EXPECT_LT(peak_rss_kb() - rss_before, 64L * 1024) << declared;  // KiB
+    io::close_fd(fds[0]);
+  }
 }
 
 TEST(FrameStream, MalformedHeaderOnTheWireIsAFrameError) {
@@ -265,84 +250,32 @@ TEST(Io, ReadFullAssemblesDribbledWrites) {
   EXPECT_EQ(fds[0], -1);  // close_fd resets the stored fd
 }
 
-TEST(HostPort, ParsesSinglesAndLists) {
-  const auto one = parse_host_port_list("127.0.0.1:7000");
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].host, "127.0.0.1");
-  EXPECT_EQ(one[0].port, 7000);
+TEST(HostPort, ParsesHostAndPort) {
+  const HostPort one = parse_host_port("127.0.0.1:7000");
+  EXPECT_EQ(one.host, "127.0.0.1");
+  EXPECT_EQ(one.port, 7000);
 
-  const auto many = parse_host_port_list("localhost:0, 10.0.0.2:65535");
-  ASSERT_EQ(many.size(), 2u);
-  EXPECT_EQ(many[0].host, "localhost");
-  EXPECT_EQ(many[0].port, 0);
-  EXPECT_EQ(many[1].host, "10.0.0.2");
-  EXPECT_EQ(many[1].port, 65535);
+  const HostPort spaced = parse_host_port(" localhost:0 ");
+  EXPECT_EQ(spaced.host, "localhost");
+  EXPECT_EQ(spaced.port, 0);
+
+  EXPECT_EQ(parse_host_port("10.0.0.2:65535").port, 65535);
 }
 
 TEST(HostPort, RejectsMalformedEntries) {
+  // A comma list is malformed too: the listen address is one host:port.
   for (const char* bad : {"", "nocolon", ":7000", "host:", "host:abc",
-                          "host:70000", "a:1,,b:2", "a:1,"}) {
-    EXPECT_THROW((void)parse_host_port_list(bad), std::invalid_argument)
+                          "host:70000", "a:1,,b:2", "a:1,", "a:1,b:2"}) {
+    EXPECT_THROW((void)parse_host_port(bad), std::invalid_argument)
         << "'" << bad << "'";
   }
-}
-
-TEST(SocketWorker, SpeaksTheControlProtocolWithACoordinator) {
-  // Mock coordinator: accept the standalone worker, check its hello
-  // (no body affinity, no slot), ping it, then shut it down with a reason.
-  SocketTransport coordinator(HostPort{"127.0.0.1", 0});
-  coordinator.ensure_listening();
-  ASSERT_NE(coordinator.address().port, 0);  // ephemeral port resolved
-  EXPECT_STREQ(coordinator.name(), "tcp");
-
-  std::FILE* log = std::tmpfile();
-  ASSERT_NE(log, nullptr);
-  int worker_rc = -1;
-  std::thread worker([&] {
-    worker_rc = run_socket_worker({coordinator.address()}, log);
-  });
-
-  int fd = -1;
-  for (int tries = 0; tries < 100 && fd < 0; ++tries) {
-    fd = coordinator.accept_connection(100);
-  }
-  ASSERT_GE(fd, 0) << "worker never connected";
-  FrameStream stream(fd, &coordinator.counters(),
-                     FrameStream::Medium::kSocket);
-
-  const auto hello_frame = stream.recv();
-  ASSERT_TRUE(hello_frame.has_value());
-  ASSERT_EQ(hello_frame->tag, FrameTag::kHello);
-  ByteReader hr(hello_frame->payload);
-  const HelloRecord hello = decode_hello(hr);
-  EXPECT_EQ(hello.slot, kWorkerSlotNone);
-  EXPECT_EQ(hello.body_affinity, 0);
-
-  ByteWriter ping;
-  ping.put<std::uint64_t>(0xFEEDFACE);
-  ASSERT_TRUE(stream.send(FrameTag::kPing, ByteSpan(ping.bytes())));
-  const auto pong = stream.recv();
-  ASSERT_TRUE(pong.has_value());
-  EXPECT_EQ(pong->tag, FrameTag::kPong);
-  ByteReader pr(pong->payload);
-  EXPECT_EQ(pr.get<std::uint64_t>(), 0xFEEDFACEu);
-
-  ByteWriter reason;
-  reason.put_string("round over");
-  ASSERT_TRUE(stream.send(FrameTag::kShutdown, ByteSpan(reason.bytes())));
-  worker.join();
-  EXPECT_EQ(worker_rc, 0);
-  io::close_fd(fd);
-  std::fclose(log);
-
-  // The coordinator's transport metered the exchange.
-  EXPECT_GE(coordinator.counters().frames_received, 2u);  // hello + pong
-  EXPECT_GE(coordinator.counters().frames_sent, 2u);      // ping + shutdown
 }
 
 TEST(SocketTransport, AcceptTimesOutAndConnectFailsCleanly) {
   SocketTransport coordinator(HostPort{"localhost", 0});
   coordinator.ensure_listening();
+  EXPECT_NE(coordinator.address().port, 0);  // ephemeral port resolved
+  EXPECT_STREQ(coordinator.name(), "tcp");
   EXPECT_EQ(coordinator.accept_connection(10), -1);  // nobody connecting
   // A connect to a port nobody listens on fails with -1, not an exception.
   EXPECT_EQ(SocketTransport::connect_to(HostPort{"127.0.0.1", 1}), -1);

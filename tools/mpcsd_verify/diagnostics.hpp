@@ -57,7 +57,7 @@ inline constexpr std::array<DiagInfo, static_cast<std::size_t>(DiagId::kCount_)>
          "host object state invisible under process isolation"},
         {DiagId::kPurityPointerWrite, "purity-pointer-write", "",
          "machine/stage body writes through a captured pointer; writes to "
-         "host memory are inert under the process backend (use the stash)"},
+         "host memory are inert under the socket backend (use the stash)"},
         {DiagId::kDetUnorderedIter, "det-unordered-iter", "",
          "iteration over an unordered container in a machine body or "
          "driver/router scope; bucket order is implementation-defined so "
@@ -87,8 +87,8 @@ inline constexpr std::array<DiagInfo, static_cast<std::size_t>(DiagId::kCount_)>
          "boundary"},
         {DiagId::kConfProcessPrimitive, "conf-process-primitive", "rule 8",
          "process/shared-memory primitive outside "
-         "src/mpc/backend_process.cpp and src/mpc/transport_socket.cpp; "
-         "keep isolation in the backend boundary"},
+         "src/mpc/transport_socket.cpp; keep isolation in the backend "
+         "boundary"},
         {DiagId::kConfSocketPrimitive, "conf-socket-primitive", "rule 8b",
          "socket primitive outside src/mpc/transport_socket.cpp; network "
          "bytes go through the socket transport boundary"},

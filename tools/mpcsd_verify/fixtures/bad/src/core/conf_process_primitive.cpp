@@ -1,4 +1,4 @@
-// Fixture: process/shared-memory primitive outside backend_process.cpp.
+// Fixture: process/shared-memory primitive outside transport_socket.cpp.
 // Isolation machinery lives behind the backend boundary only.
 #include <unistd.h>
 

@@ -1,6 +1,6 @@
 // Clean fixture: mirrors src/mpc/transport_socket.cpp, the only TU
-// allowed socket primitives (and, like the process backend, fork — it
-// spawns its connect-back workers).  Must produce no findings.
+// allowed socket primitives and fork (it spawns its connect-back
+// workers).  Must produce no findings.
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>

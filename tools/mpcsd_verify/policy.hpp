@@ -2,7 +2,7 @@
 //
 // Every rule is conditioned on *where* the code lives, mirroring the
 // boundaries the repository's correctness argument names: the
-// serialization layer may reinterpret_cast, the process backend may fork,
+// serialization layer may reinterpret_cast, the socket transport may fork,
 // the router owns its constants.  Paths are matched by suffix/segment so
 // the same policy applies to the real tree and to the fixture corpus
 // (fixtures mirror repo paths under tools/mpcsd_verify/fixtures/).
