@@ -3,6 +3,8 @@
 // (dense vs sparse Ulam, naive vs fast combine, exact vs 3+eps unit).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "core/workload.hpp"
 #include "seq/approx_edit.hpp"
@@ -125,6 +127,40 @@ void BM_CombineFast(benchmark::State& state) {
   state.SetComplexityN(count);
 }
 BENCHMARK(BM_CombineFast)->Range(256, 32768)->Complexity(benchmark::oNLogN);
+
+// The shape of Theorem 4's round-2 input at n = 8192: 21 blocks that
+// partition [0, n), about 8.7k candidate windows each near the block's
+// diagonal.  Unlike BM_CombineFast's independent random blocks, most tuple
+// pairs share a block, which the kMax solver never has to join.
+void BM_CombineUlamShaped(benchmark::State& state) {
+  constexpr std::int64_t kN = 8192;
+  constexpr std::int64_t kBlocks = 21;
+  constexpr std::int64_t kPerBlock = 8700;
+  Pcg32 rng = derive_stream(1, 3);
+  std::vector<seq::Tuple> tuples;
+  for (std::int64_t k = 0; k < kBlocks; ++k) {
+    const std::int64_t begin = k * kN / kBlocks;
+    const std::int64_t end = (k + 1) * kN / kBlocks;
+    for (std::int64_t i = 0; i < kPerBlock; ++i) {
+      seq::Tuple t;
+      t.block_begin = begin;
+      t.block_end = end;
+      t.window_begin = std::clamp<std::int64_t>(begin + rng.uniform(-128, 128), 0, kN);
+      t.window_end = std::clamp<std::int64_t>(t.window_begin + (end - begin) +
+                                                  rng.uniform(-128, 128),
+                                              t.window_begin, kN);
+      t.distance = rng.uniform(0, 64);
+      tuples.push_back(t);
+    }
+  }
+  seq::CombineOptions options;
+  options.gap = seq::GapCost::kMax;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(seq::combine_tuples(tuples, kN, kN, options));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(tuples.size()));
+}
+BENCHMARK(BM_CombineUlamShaped)->Unit(benchmark::kMillisecond);
 
 void BM_CombineNaive(benchmark::State& state) {
   const auto count = state.range(0);

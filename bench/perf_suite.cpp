@@ -138,7 +138,14 @@ double time_best(F&& f, int reps) {
   return best;
 }
 
-void write_json(const std::vector<Record>& records, const std::string& path) {
+/// Closes `out`; if the file was not fully written, says so and returns false.
+bool written(std::ofstream& out, const std::string& path) {
+  out.close();
+  if (out.fail()) std::fprintf(stderr, "FAIL: cannot write %s\n", path.c_str());
+  return !out.fail();
+}
+
+bool write_json(const std::vector<Record>& records, const std::string& path) {
   std::ofstream out(path);
   out << "[\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -149,6 +156,7 @@ void write_json(const std::vector<Record>& records, const std::string& path) {
         << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "]\n";
+  return written(out, path);
 }
 
 /// Just enough validation for the smoke gate: the file must exist, be a
@@ -214,7 +222,7 @@ double wall_median(F&& f, int reps) {
   return walls[walls.size() / 2];
 }
 
-void write_batch_json(const std::vector<BatchRecord>& records,
+bool write_batch_json(const std::vector<BatchRecord>& records,
                       const std::string& path) {
   std::ofstream out(path);
   out << "[\n";
@@ -228,6 +236,7 @@ void write_batch_json(const std::vector<BatchRecord>& records,
         << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "]\n";
+  return written(out, path);
 }
 
 std::vector<core::BatchQuery> make_batch_queries(std::size_t batch,
@@ -349,7 +358,7 @@ struct RouterRecord {
   std::uint64_t to_plan = 0;
 };
 
-void write_router_json(const std::vector<RouterRecord>& records,
+bool write_router_json(const std::vector<RouterRecord>& records,
                        const std::string& path) {
   std::ofstream out(path);
   out << "[\n";
@@ -368,6 +377,7 @@ void write_router_json(const std::vector<RouterRecord>& records,
         << (i + 1 < records.size() ? "," : "") << "\n";
   }
   out << "]\n";
+  return written(out, path);
 }
 
 }  // namespace
@@ -873,11 +883,13 @@ int main(int argc, char** argv) {
     router_records.push_back(routed);
   }
 
-  write_json(records, out_path);
-  write_batch_json(batch_records, out2_path);
-  write_json(isa_records, out4_path);
-  write_json(socket_records, out7_path);
-  write_router_json(router_records, out6_path);
+  // Every file is attempted, so each unwritable path is reported.
+  bool all_written = write_json(records, out_path);
+  all_written = write_batch_json(batch_records, out2_path) && all_written;
+  all_written = write_json(isa_records, out4_path) && all_written;
+  all_written = write_json(socket_records, out7_path) && all_written;
+  all_written = write_router_json(router_records, out6_path) && all_written;
+  if (!all_written) return 1;
   std::printf("perf_suite: %zu records -> %s\n", records.size(), out_path.c_str());
   for (const Record& r : records) {
     std::printf("  %-22s n=%-8lld wall=%.6fs work=%llu bytes_moved=%llu\n",

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <span>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/fenwick.hpp"
@@ -89,114 +92,213 @@ void solve_sum_fast(const std::vector<Tuple>& tuples, std::vector<std::int64_t>&
   if (work != nullptr) *work += m * 6;
 }
 
+/// Work the kMax solver charges for T tuples: the cross steps of a balanced
+/// halving down to single tuples, W(T) = 10·T + W(⌊T/2⌋) + W(T - ⌊T/2⌋) with
+/// W(T <= 1) = 0.  A pure function of T, so the metered work does not depend
+/// on where the solver really splits.  Returns {W(k), W(k + 1)}, since the
+/// halves of k and k + 1 are again two neighbours.
+std::pair<std::uint64_t, std::uint64_t> max_combine_work(std::uint64_t k) {
+  if (k == 0) return {0, 0};
+  if (k == 1) return {0, 20};
+  const auto [wh, wh1] = max_combine_work(k / 2);  // W(h), W(h + 1), h = ⌊k/2⌋
+  if (k % 2 == 0) return {10 * k + 2 * wh, 10 * (k + 1) + wh + wh1};
+  return {10 * k + wh + wh1, 10 * (k + 1) + 2 * wh1};
+}
+
+/// kMax inputs and solver segments this short use a direct double loop.
+constexpr std::size_t kMaxDirect = 32;
+
+/// The kMax transitions among tuples [lo, hi), which already hold every
+/// transition from before lo, by the O((hi - lo)²) double loop.
+void solve_max_direct(const std::vector<Tuple>& tuples, std::vector<std::int64_t>& dp,
+                      std::size_t lo, std::size_t hi) {
+  for (std::size_t a = lo + 1; a < hi; ++a) {
+    const Tuple& ta = tuples[a];
+    for (std::size_t b = lo; b < a; ++b) {
+      const Tuple& tb = tuples[b];
+      if (tb.block_end > ta.block_begin || tb.window_end > ta.window_begin) continue;
+      dp[a] = std::min(dp[a], dp[b] + ta.distance +
+                                  std::max(ta.block_begin - tb.block_end,
+                                           ta.window_begin - tb.window_end));
+    }
+  }
+}
+
 /// Fast kMax solver: divide-and-conquer on the block order.  The max gap
 /// splits on the diagonal diag_b = r'-kappa' vs diag_a = l-gamma:
 ///   case A (diag_b <= diag_a): cost l - r', needs kappa' <= gamma
 ///     (r' <= l is implied);
 ///   case B (diag_b >  diag_a): cost gamma - kappa', needs r' <= l
 ///     (kappa' <= gamma is implied).
+/// No transition joins two tuples of one block (r' > l' = l), so segments
+/// split on block boundaries and a one-block segment has nothing to do.
+/// Diagonals are ranked once; the index scratch and the Fenwick tree are
+/// allocated once, and each sweep resets only the entries it touched.
 class MaxCombineSolver {
  public:
-  MaxCombineSolver(const std::vector<Tuple>& tuples, std::vector<std::int64_t>& dp,
-                   std::uint64_t* work)
-      : tuples_(tuples), dp_(dp), work_(work) {
-    if (!tuples_.empty()) solve(0, tuples_.size());
+  MaxCombineSolver(const std::vector<Tuple>& tuples, std::int64_t n, std::int64_t n_bar,
+                   std::vector<std::int64_t>& dp)
+      : tuples_(tuples),
+        dp_(dp),
+        point_rank_(tuples.size()),
+        query_pos_(tuples.size()),
+        by_gamma_(tuples.size()),
+        by_kappa_(tuples.size()),
+        scratch_(tuples.size()),
+        fen_(rank_diagonals(n, n_bar)) {
+    MPCSD_EXPECTS(tuples_.size() < (std::size_t{1} << 31));  // ranks fit 32 bits
+    std::iota(by_gamma_.begin(), by_gamma_.end(), 0U);
+    std::sort(by_gamma_.begin(), by_gamma_.end(),
+              [&](std::uint32_t x, std::uint32_t y) { return gamma(x) < gamma(y); });
+    solve(0, tuples_.size());
   }
 
  private:
+  /// Fills point_rank_ (rank of r-kappa) and query_pos_ (how many ranks are
+  /// <= l-gamma); returns the number of distinct diagonals.  Diagonals lie in
+  /// [-n_bar, n], so a presence table ranks them in O(T + n + n_bar) — no
+  /// more than the O(n) its callers spend building the tuples.
+  std::size_t rank_diagonals(std::int64_t n, std::int64_t n_bar) {
+    const auto point = [&](const Tuple& t) {
+      return static_cast<std::size_t>(t.block_end - t.window_end + n_bar);
+    };
+    const auto query = [&](const Tuple& t) {
+      return static_cast<std::size_t>(t.block_begin - t.window_begin + n_bar);
+    };
+    // below[v] = number of distinct shifted diagonals < v.
+    std::vector<std::uint32_t> below(static_cast<std::size_t>(n + n_bar) + 2, 0);
+    for (const Tuple& t : tuples_) {
+      below[point(t) + 1] = 1;
+      below[query(t) + 1] = 1;
+    }
+    for (std::size_t v = 1; v < below.size(); ++v) below[v] += below[v - 1];
+    for (std::size_t i = 0; i < tuples_.size(); ++i) {
+      point_rank_[i] = below[point(tuples_[i])];
+      query_pos_[i] = below[query(tuples_[i]) + 1];
+    }
+    return below.back();
+  }
+
+  [[nodiscard]] std::int64_t kappa(std::uint32_t i) const {
+    return tuples_[i].window_end;
+  }
+  [[nodiscard]] std::int64_t gamma(std::uint32_t i) const {
+    return tuples_[i].window_begin;
+  }
+
+  /// On entry by_gamma_[lo, hi) lists lo..hi-1 in window_begin order; on
+  /// exit by_kappa_[lo, hi) lists them in window_end order.  The gamma order
+  /// is split stably on the way down and the kappa order merged on the way
+  /// up, so no level sorts: only the root (by gamma) and the leaves (by
+  /// kappa) do.
   void solve(std::size_t lo, std::size_t hi) {
-    if (hi - lo <= 1) return;
-    const std::size_t mid = lo + (hi - lo) / 2;
+    const auto kappa_less = [&](std::uint32_t x, std::uint32_t y) {
+      return kappa(x) < kappa(y);
+    };
+    const auto order = [&](std::size_t from, std::size_t to) {
+      return std::span(by_kappa_).subspan(from, to - from);
+    };
+    const bool one_block = tuples_[lo].block_begin == tuples_[hi - 1].block_begin;
+    if (one_block || hi - lo <= kMaxDirect) {
+      // A leaf: one block holds no transition, a short segment is direct.
+      if (!one_block) solve_max_direct(tuples_, dp_, lo, hi);
+      const auto run = order(lo, hi);
+      std::iota(run.begin(), run.end(), static_cast<std::uint32_t>(lo));
+      std::sort(run.begin(), run.end(), kappa_less);
+      return;
+    }
+    const std::size_t mid = split(lo, hi);
+    // Stable split of the gamma order into the two halves.
+    std::size_t low = lo;
+    std::size_t high = 0;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::uint32_t i = by_gamma_[k];
+      (i < mid ? by_gamma_[low++] : scratch_[high++]) = i;
+    }
+    std::copy_n(scratch_.begin(), high,
+                by_gamma_.begin() + static_cast<std::ptrdiff_t>(low));
     solve(lo, mid);
     cross(lo, mid, hi);
     solve(mid, hi);
+    const auto merged = std::span(scratch_).first(hi - lo);
+    std::merge(order(lo, mid).begin(), order(lo, mid).end(), order(mid, hi).begin(),
+               order(mid, hi).end(), merged.begin(), kappa_less);
+    std::copy(merged.begin(), merged.end(), order(lo, hi).begin());
   }
 
-  [[nodiscard]] std::int64_t point_diag(std::size_t b) const {
-    return tuples_[b].block_end - tuples_[b].window_end;
-  }
-  [[nodiscard]] std::int64_t query_diag(std::size_t a) const {
-    return tuples_[a].block_begin - tuples_[a].window_begin;
+  /// The block boundary nearest the middle of [lo, hi); one exists since lo
+  /// and hi - 1 lie in different blocks.
+  [[nodiscard]] std::size_t split(std::size_t lo, std::size_t hi) const {
+    const std::size_t half = lo + (hi - lo) / 2;
+    const auto first = tuples_.begin();
+    const auto by_block = [](const Tuple& a, const Tuple& b) {
+      return a.block_begin < b.block_begin;
+    };
+    const auto at = [&](std::size_t i) { return first + static_cast<std::ptrdiff_t>(i); };
+    const auto run_begin = static_cast<std::size_t>(
+        std::lower_bound(at(lo), at(half), *at(half), by_block) - first);
+    const auto run_end = static_cast<std::size_t>(
+        std::upper_bound(at(half), at(hi), *at(half), by_block) - first);
+    if (run_begin == lo) return run_end;
+    if (run_end == hi) return run_begin;
+    return run_end - half < half - run_begin ? run_end : run_begin;
   }
 
   void cross(std::size_t lo, std::size_t mid, std::size_t hi) {
-    const std::size_t len = hi - lo;
-    if (work_ != nullptr) *work_ += len * 10;
-
-    // Shared diag compression for the segment (point and query diags).
-    std::vector<std::int64_t> ds;
-    ds.reserve(len);
-    for (std::size_t b = lo; b < mid; ++b) ds.push_back(point_diag(b));
-    for (std::size_t a = mid; a < hi; ++a) ds.push_back(query_diag(a));
-    std::sort(ds.begin(), ds.end());
-    ds.erase(std::unique(ds.begin(), ds.end()), ds.end());
-    const std::size_t ranks = ds.size();
-    auto rank_of = [&](std::int64_t v) {
-      return static_cast<std::size_t>(
-          std::lower_bound(ds.begin(), ds.end(), v) - ds.begin());
-    };
-
-    std::vector<std::size_t> left(mid - lo);
-    std::vector<std::size_t> right(hi - mid);
-    for (std::size_t i = 0; i < left.size(); ++i) left[i] = lo + i;
-    for (std::size_t i = 0; i < right.size(); ++i) right[i] = mid + i;
+    const std::size_t nl = mid - lo;
+    const std::size_t ranks = fen_.size();
 
     // Case A: insert by kappa', query by gamma; prefix-min over diag.
-    std::sort(left.begin(), left.end(), [&](std::size_t x, std::size_t y) {
-      return tuples_[x].window_end < tuples_[y].window_end;
-    });
-    std::sort(right.begin(), right.end(), [&](std::size_t x, std::size_t y) {
-      return tuples_[x].window_begin < tuples_[y].window_begin;
-    });
-    FenwickMin<std::int64_t> fen_a(ranks);
+    const auto left_a = std::span(by_kappa_).subspan(lo, nl);
     std::size_t li = 0;
-    for (const std::size_t a : right) {
-      while (li < left.size() &&
-             tuples_[left[li]].window_end <= tuples_[a].window_begin) {
-        const std::size_t b = left[li++];
-        if (dp_[b] < kInf) fen_a.update(rank_of(point_diag(b)), dp_[b] - tuples_[b].block_end);
+    for (const std::uint32_t a : std::span(by_gamma_).subspan(mid, hi - mid)) {
+      while (li < nl && kappa(left_a[li]) <= gamma(a)) {
+        const std::uint32_t b = left_a[li++];
+        fen_.update(point_rank_[b], dp_[b] - tuples_[b].block_end);
       }
-      const auto pos = std::upper_bound(ds.begin(), ds.end(), query_diag(a)) - ds.begin();
-      if (pos > 0) {
-        const std::int64_t best = fen_a.prefix_min(static_cast<std::size_t>(pos - 1));
-        if (best < kInf) {
-          dp_[a] = std::min(dp_[a], tuples_[a].block_begin + best + tuples_[a].distance);
-        }
+      if (li == 0 || query_pos_[a] == 0) continue;
+      const std::int64_t best = fen_.prefix_min(query_pos_[a] - 1);
+      if (best < kInf) {
+        dp_[a] = std::min(dp_[a], tuples_[a].block_begin + best + tuples_[a].distance);
       }
     }
+    for (std::size_t i = 0; i < li; ++i) fen_.reset(point_rank_[left_a[i]]);
 
     // Case B: insert by r', query by l; suffix-min over diag (reversed).
-    std::sort(left.begin(), left.end(), [&](std::size_t x, std::size_t y) {
+    // The right half is already in block_begin order, and so is the left
+    // one in block_end order unless blocks nest.
+    const auto left_b = std::span(scratch_).first(nl);
+    std::iota(left_b.begin(), left_b.end(), static_cast<std::uint32_t>(lo));
+    const auto by_end = [&](std::uint32_t x, std::uint32_t y) {
       return tuples_[x].block_end < tuples_[y].block_end;
-    });
-    std::sort(right.begin(), right.end(), [&](std::size_t x, std::size_t y) {
-      return tuples_[x].block_begin < tuples_[y].block_begin;
-    });
-    FenwickMin<std::int64_t> fen_b(ranks);
+    };
+    if (!std::is_sorted(left_b.begin(), left_b.end(), by_end)) {
+      std::sort(left_b.begin(), left_b.end(), by_end);
+    }
     li = 0;
-    for (const std::size_t a : right) {
-      while (li < left.size() &&
-             tuples_[left[li]].block_end <= tuples_[a].block_begin) {
-        const std::size_t b = left[li++];
-        if (dp_[b] < kInf) {
-          fen_b.update(ranks - 1 - rank_of(point_diag(b)), dp_[b] - tuples_[b].window_end);
-        }
+    for (std::size_t a = mid; a < hi; ++a) {
+      while (li < nl && tuples_[left_b[li]].block_end <= tuples_[a].block_begin) {
+        const std::uint32_t b = left_b[li++];
+        fen_.update(ranks - 1 - point_rank_[b], dp_[b] - tuples_[b].window_end);
       }
-      // diag_b > diag_a  <=>  reversed rank < ranks - pos, pos = upper_bound
-      const auto pos = static_cast<std::size_t>(
-          std::upper_bound(ds.begin(), ds.end(), query_diag(a)) - ds.begin());
-      if (pos < ranks) {
-        const std::int64_t best = fen_b.prefix_min(ranks - 1 - pos);
-        if (best < kInf) {
-          dp_[a] = std::min(dp_[a], tuples_[a].window_begin + best + tuples_[a].distance);
-        }
+      // diag_b > diag_a  <=>  reversed rank < ranks - query_pos
+      if (li == 0 || query_pos_[a] == ranks) continue;
+      const std::int64_t best = fen_.prefix_min(ranks - 1 - query_pos_[a]);
+      if (best < kInf) {
+        dp_[a] = std::min(dp_[a], tuples_[a].window_begin + best + tuples_[a].distance);
       }
     }
+    for (std::size_t i = 0; i < li; ++i) fen_.reset(ranks - 1 - point_rank_[left_b[i]]);
   }
 
   const std::vector<Tuple>& tuples_;
   std::vector<std::int64_t>& dp_;
-  std::uint64_t* work_;
+  std::vector<std::uint32_t> point_rank_;
+  std::vector<std::uint32_t> query_pos_;
+  std::vector<std::uint32_t> by_gamma_;
+  std::vector<std::uint32_t> by_kappa_;
+  std::vector<std::uint32_t> scratch_;
+  FenwickMin<std::int64_t> fen_;
 };
 
 }  // namespace
@@ -280,8 +382,14 @@ std::int64_t combine_tuples(std::vector<Tuple> tuples, std::int64_t n,
   if (options.gap == GapCost::kSum) {
     solve_sum_fast(tuples, dp, work);
   } else {
-    const MaxCombineSolver solver(tuples, dp, work);
-    (void)solver;
+    // Round 1 of Theorem 4 makes ~10^5 calls per request with T <= 16.
+    if (m <= kMaxDirect) {
+      solve_max_direct(tuples, dp, 0, m);
+    } else {
+      const MaxCombineSolver solver(tuples, n, n_bar, dp);
+      (void)solver;
+    }
+    if (work != nullptr) *work += max_combine_work(m).first;
   }
   return finish(tuples, dp, options.gap, n, n_bar);
 }

@@ -20,9 +20,17 @@
 // Both a naive O(T²) reference and fast solvers are provided:
 //   * kSum: event-ordered Fenwick sweep, O(T log T);
 //   * kMax: the same diagonal split as the sparse Ulam DP (the max cost
-//     splits on r_b - kappa_b vs l_a - gamma_a) via divide-and-conquer,
-//     O(T log² T) — the "suitable data structure" the paper alludes to in
-//     Section 5.2.3.
+//     splits on r_b - kappa_b vs l_a - gamma_a) via divide-and-conquer
+//     — the "suitable data structure" the paper alludes to in Section
+//     5.2.3.  No transition joins two tuples of one block, so segments
+//     split on the block boundary nearest their middle, a one-block segment
+//     returns at once, and segments of <= 32 tuples run a direct double
+//     loop.  With T tuples in k blocks that is O(T log T · log k + n +
+//     n_bar) time (O(T log² T + n + n_bar) when every tuple has its own
+//     block), O(T + n + n_bar) scratch allocated once per call, and no
+//     per-level sort unless blocks nest.  The metered work is fixed at the
+//     balanced-halving charge W(T) = 10·T + W(⌊T/2⌋) + W(T - ⌊T/2⌋),
+//     W(T <= 1) = 0, whatever the block layout.
 //
 // `allow_overlap` (naive, kSum only) implements the Section 5.2.3 remark:
 // two tuples whose windows intersect may both be chosen if gamma_b <=

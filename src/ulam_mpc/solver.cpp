@@ -169,7 +169,10 @@ UlamMpcResult ulam_distance_mpc(SymView s, SymView t, const UlamMpcParams& param
       [n, n_bar, keep_tuples = params.keep_tuples,
        combine_gap = params.combine_gap](mpc::StageContext<TupleInbox>& ctx) {
         std::uint64_t work = 0;
+        std::size_t total = 0;
+        for (const auto& batch : ctx.in().messages) total += batch.size();
         std::vector<seq::Tuple> tuples;
+        tuples.reserve(total);
         for (auto& batch : ctx.in().messages) {
           tuples.insert(tuples.end(), batch.begin(), batch.end());
         }

@@ -153,6 +153,32 @@ TEST(Combine, RejectsInvalidTuples) {
   EXPECT_THROW((void)combine_tuples(oob, 10, 10), ContractViolation);
 }
 
+/// The charge of the kMax solver's original balanced halving, which the
+/// block-aware solver keeps: W(T) = 10·T + W(⌊T/2⌋) + W(T - ⌊T/2⌋).
+std::uint64_t balanced_halving_work(std::uint64_t t) {
+  if (t <= 1) return 0;
+  return 10 * t + balanced_halving_work(t / 2) + balanced_halving_work(t - t / 2);
+}
+
+TEST(Combine, MaxWorkIsAFunctionOfTupleCount) {
+  const std::int64_t n = 1000;
+  const std::int64_t n_bar = 1000;
+  for (const std::size_t count : {0, 1, 2, 31, 32, 33, 1000, 4097}) {
+    // Random blocks, and 7 blocks partitioning [0, n) with many windows each.
+    auto blocked = random_tuples(n, n_bar, count, 11);
+    for (std::size_t i = 0; i < blocked.size(); ++i) {
+      blocked[i].block_begin = static_cast<std::int64_t>(i % 7) * 140;
+      blocked[i].block_end = i % 7 == 6 ? n : blocked[i].block_begin + 140;
+    }
+    for (const auto& tuples : {random_tuples(n, n_bar, count, 5), blocked}) {
+      std::uint64_t work = 0;
+      (void)combine_tuples(tuples, n, n_bar, CombineOptions{GapCost::kMax, true, false},
+                           &work);
+      EXPECT_EQ(work, balanced_halving_work(count)) << "T=" << count;
+    }
+  }
+}
+
 TEST(Combine, WorkMeterFastBelowNaive) {
   const auto tuples = random_tuples(100, 100, 500, 3);
   std::uint64_t fast_work = 0;

@@ -148,6 +148,24 @@ TEST(FenwickMin, PrefixMinMatchesBruteForce) {
   }
 }
 
+TEST(FenwickMin, ResettingEveryUpdatedIndexEmptiesTheTree) {
+  Pcg32 rng(9, 10);
+  const std::size_t n = 50;
+  FenwickMin<std::int64_t> fen(n);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::size_t> touched;
+    for (int k = 0; k < 10; ++k) {
+      touched.push_back(rng.below(n));
+      fen.update(touched.back(), -static_cast<std::int64_t>(rng.below(100)));
+    }
+    ASSERT_LT(fen.prefix_min(n - 1), 1);
+    for (const std::size_t i : touched) fen.reset(i);
+    for (std::size_t q = 0; q < n; ++q) {
+      ASSERT_EQ(fen.prefix_min(q), fen.identity()) << "round " << round << " query " << q;
+    }
+  }
+}
+
 struct PayloadEntry {
   std::int64_t v;
   int tag;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/workload.hpp"
@@ -14,6 +15,7 @@
 #include "seq/myers.hpp"
 #include "seq/types.hpp"
 #include "seq/ulam.hpp"
+#include "ulam_mpc/solver.hpp"
 
 namespace mpcsd::seq {
 namespace {
@@ -142,6 +144,120 @@ TEST(Differential, CombineSolversAgreeOnAdversarialTuples) {
       const auto naive =
           combine_tuples_naive(tuples, n, n_bar, CombineOptions{gap, false, false});
       ASSERT_EQ(fast, naive) << "seed=" << seed << " gap=" << static_cast<int>(gap);
+    }
+  }
+}
+
+/// Tuples over blocks that partition [0, n), many windows per block, each
+/// window near its block's diagonal (as Algorithm 1 emits them) or anywhere.
+std::vector<Tuple> partitioned_tuples(std::int64_t n, std::int64_t n_bar,
+                                      std::size_t blocks, std::size_t count,
+                                      std::uint64_t seed) {
+  Pcg32 rng = derive_stream(seed, 0xB10C);
+  std::vector<std::int64_t> cuts{0, n};
+  while (cuts.size() < blocks + 1) cuts.push_back(rng.uniform(1, n - 1));
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  std::vector<Tuple> tuples;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto k = rng.below(static_cast<std::uint32_t>(cuts.size() - 1));
+    Tuple t;
+    t.block_begin = cuts[k];
+    t.block_end = cuts[k + 1];
+    const std::int64_t len = t.block_end - t.block_begin;
+    if (rng.below(8) == 0) {
+      t.window_begin = rng.uniform(0, n_bar);
+    } else {
+      t.window_begin =
+          std::clamp<std::int64_t>(t.block_begin + rng.uniform(-8, 8), 0, n_bar);
+    }
+    t.window_end = std::clamp<std::int64_t>(t.window_begin + len + rng.uniform(-8, 8),
+                                            t.window_begin, n_bar);
+    t.distance = rng.uniform(0, len);
+    tuples.push_back(t);
+  }
+  return tuples;
+}
+
+void expect_max_fast_matches_naive(const std::vector<Tuple>& tuples, std::int64_t n,
+                                   std::int64_t n_bar, const std::string& what) {
+  const auto fast =
+      combine_tuples(tuples, n, n_bar, CombineOptions{GapCost::kMax, true, false});
+  const auto naive =
+      combine_tuples_naive(tuples, n, n_bar, CombineOptions{GapCost::kMax, false, false});
+  ASSERT_EQ(fast, naive) << what << " T=" << tuples.size();
+}
+
+TEST(Differential, MaxCombineAgreesOnPartitionedBlocks) {
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    Pcg32 rng = derive_stream(seed, 0xDA7A);
+    const std::int64_t n = rng.uniform(40, 600);
+    const std::int64_t n_bar = std::max<std::int64_t>(1, n + rng.uniform(-30, 30));
+    const std::size_t blocks = 2 + rng.below(20);
+    const std::size_t count = 1 + rng.below(3000);
+    expect_max_fast_matches_naive(partitioned_tuples(n, n_bar, blocks, count, seed), n,
+                                  n_bar, "seed=" + std::to_string(seed));
+  }
+}
+
+TEST(Differential, MaxCombineSkipsASingleBlock) {
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    const std::int64_t n = 300;
+    const std::int64_t n_bar = 320;
+    auto tuples = partitioned_tuples(n, n_bar, 1, 40 + 60 * seed, seed);
+    expect_max_fast_matches_naive(tuples, n, n_bar, "seed=" + std::to_string(seed));
+    // One block [b, e) inside [0, n): every segment is a single block too.
+    for (Tuple& t : tuples) {
+      t.block_begin = 100;
+      t.block_end = 180;
+    }
+    expect_max_fast_matches_naive(tuples, n, n_bar, "inner seed=" + std::to_string(seed));
+  }
+}
+
+TEST(Differential, MaxCombineAgreesOnEmptyWindowsAndDuplicates) {
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    Pcg32 rng = derive_stream(seed, 0xE3E3);
+    const std::int64_t n = 200;
+    const std::int64_t n_bar = 200;
+    auto tuples = partitioned_tuples(n, n_bar, 2 + rng.below(10), 400, seed);
+    for (Tuple& t : tuples) {
+      if (rng.below(3) == 0) t.window_end = t.window_begin;  // empty window
+    }
+    const std::size_t original = tuples.size();
+    for (std::size_t i = 0; i < original; i += 1 + rng.below(4)) {
+      tuples.push_back(tuples[i]);  // exact duplicates, several times over
+      if (rng.below(2) == 0) tuples.push_back(tuples[i]);
+    }
+    expect_max_fast_matches_naive(tuples, n, n_bar, "seed=" + std::to_string(seed));
+  }
+}
+
+TEST(Differential, MaxCombineAgreesOnUlamRoundOneTuples) {
+  // The real round-1 output of Theorem 4 at n = 2048: about 75k tuples in a
+  // dozen blocks.  The fast solver runs on all of them; the O(T²) oracle on
+  // an every-k-th subset that keeps each block's many windows.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto s = core::random_permutation(2048, seed);
+    const auto t = core::plant_edits(s, 32, seed + 100, true).text;
+    ulam_mpc::UlamMpcParams params;
+    params.keep_tuples = true;
+    params.backend = mpc::BackendKind::kThread;
+    params.workers = 2;
+    const auto result = ulam_mpc::ulam_distance_mpc(s, t, params);
+    const auto n = static_cast<std::int64_t>(s.size());
+    const auto n_bar = static_cast<std::int64_t>(t.size());
+    ASSERT_GT(result.tuples.size(), 10000U);
+    EXPECT_EQ(combine_tuples(result.tuples, n, n_bar), result.distance);
+    EXPECT_GE(result.distance, ulam_distance(s, t));
+    for (const std::size_t stride : {23, 31}) {
+      std::vector<Tuple> subset;
+      for (std::size_t i = seed; i < result.tuples.size(); i += stride) {
+        subset.push_back(result.tuples[i]);
+      }
+      expect_max_fast_matches_naive(subset, n, n_bar,
+                                    "seed=" + std::to_string(seed) +
+                                        " stride=" + std::to_string(stride));
     }
   }
 }
