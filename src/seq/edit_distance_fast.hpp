@@ -61,6 +61,16 @@ std::optional<std::int64_t> edit_distance_bounded_fast(SymView a, SymView b,
                                                        std::int64_t limit,
                                                        std::uint64_t* work = nullptr);
 
+/// Exact distance with cap `limit` from one full-width bit-parallel bounded
+/// run (the shorter string is the pattern).  Charged as the band the scalar
+/// doubling ladder would have finished at: half-width min(limit, max(2d, 1))
+/// over every text row on success, the capped band over the processed
+/// columns when censored.  The wide-band resolve shared by
+/// `edit_distance_bounded_fast` and the output-sensitive driver.
+std::optional<std::int64_t> myers_bounded_resolve(SymView a, SymView b,
+                                                  std::int64_t limit,
+                                                  std::uint64_t* work = nullptr);
+
 /// Modelled cells of a half-width-k Ukkonen band over a rows x cols DP:
 /// sum over i = 1..rows of |[max(0, i-k), min(cols, i+k)]|.  The charge
 /// unit every bit-parallel entry point converts its word counts back to;

@@ -56,19 +56,7 @@ std::optional<std::int64_t> solve_core(SymView a, SymView b,
 
   // Wide-band regime: one full-width bounded run (the runtime-dispatched
   // kernel family), charged as the band the ladder would have finished at.
-  std::uint64_t words = 0;
-  const auto d = edit_distance_myers_bounded(a, b, limit, &words);
-  if (work != nullptr) {
-    const auto blocks = static_cast<std::uint64_t>((m + 63) / 64);
-    const auto charge_k =
-        d.has_value() ? std::min(limit, std::max<std::int64_t>(2 * *d, 1))
-                      : limit;
-    const auto rows = d.has_value()
-                          ? n
-                          : static_cast<std::int64_t>(words / blocks);
-    *work += band_cells(rows, m, charge_k);
-  }
-  return d;
+  return myers_bounded_resolve(a, b, limit, work);
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ struct Policy {
   [[nodiscard]] static bool det_scoped_file(std::string_view path);
 
   /// Simulator/driver directories where `mutable` lambdas are banned
-  /// outright (lint rule 3 scope).
+  /// outright.
   [[nodiscard]] static bool mutable_scoped(std::string_view path);
 
   // --- per-rule allowlists -------------------------------------------------

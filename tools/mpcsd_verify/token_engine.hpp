@@ -1,19 +1,14 @@
-// mpcsd-verify: the portable token-level engine.
+// mpcsd-verify: the token-level engine.
 //
-// Always built (no dependency beyond the standard library), so the
-// conformance gate runs on minimal containers without clang dev libraries.
-// It analyzes one file at a time over the lexed token stream with enough
-// structure recovered to be AST-grade for this codebase's idioms: lambda
-// introducers and capture lists are parsed, machine/stage bodies are
-// identified by their context parameter types (`MachineContext&`,
+// No dependency beyond the standard library, so the conformance gate runs
+// on any toolchain.  It analyzes one file at a time over the lexed token
+// stream with enough structure recovered for this codebase's idioms:
+// lambda introducers and capture lists are parsed, machine/stage bodies
+// are identified by their context parameter types (`MachineContext&`,
 // `StageContext<T>&`), declaration scanning resolves const-ness and
 // unordered-container names, and every literal/comment is already out of
-// the stream (the lexer dropped them), which is precisely what the grep
-// rules could not do.
-//
-// The clang AST engine (ast_engine.hpp) implements the same catalog with
-// real semantic types; the fixture self-test pins both to identical
-// verdicts.
+// the stream (the lexer dropped them), which is precisely what grep cannot
+// do.
 #pragma once
 
 #include <string>
