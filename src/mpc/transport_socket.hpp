@@ -5,7 +5,7 @@
 // port 0 = ephemeral) accepting workers that speak the framed protocol of
 // mpc/transport.hpp.  Every socket/bind/listen/accept/connect syscall in
 // the codebase lives in transport_socket.cpp — one reviewable boundary,
-// enforced by lint Rule 8 and mpcsd_verify.
+// enforced by mpcsd_verify (conf-socket-primitive).
 //
 // `SocketBackend` runs a round as: fork one worker per pool slot (machine
 // bodies are C++ closures, so workers run on a copy-on-write snapshot of
