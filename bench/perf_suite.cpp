@@ -55,7 +55,7 @@
 //
 // BENCH_PR10 (--out7) — execution backends: the same batch workloads run
 // with machine bodies on the in-process thread pool and in forked workers
-// that stream their results back over localhost TCP frames (the socket
+// that stream their results back as frames over socket pairs (the socket
 // backend).  Distances and trace structural hashes are cross-checked
 // identical in-bench — the backend may only move wall clock.  Hard gate
 // (non-smoke): socket-backend wall <= 2x the thread backend on the edit
@@ -1134,8 +1134,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- BENCH_PR10 socket gate: TCP round overhead stays bounded. ----
-  // Each socket round pays fork + connect-back + framed result streaming;
+  // ---- BENCH_PR10 socket gate: socket round overhead stays bounded. ----
+  // Each socket round pays fork + socketpair + framed result streaming;
   // on real batch workloads at n=2000 that must stay within 2x of the
   // thread backend, or the isolation win has priced itself out of use.
   for (const char* algo : {"ulam", "edit"}) {

@@ -188,7 +188,7 @@ int usage() {
                "  --backend {thread,socket}   execution backend for the machine\n"
                "      bodies (default: thread, or the MPCSD_BACKEND env var);\n"
                "      'socket' runs bodies in forked, memory-isolated workers\n"
-               "      that stream results over localhost TCP frames\n"
+               "      that stream results as frames over socket pairs\n"
                "  --router {off,auto,always-seq}   query router for edit batches in\n"
                "      throughput mode (default: off, or the MPCSD_ROUTER env var);\n"
                "      'auto' retires near-duplicates on the sequential fast path\n"

@@ -1,5 +1,5 @@
 // Fuzz harness for the transport frame protocol: the 14-byte frame header
-// and every wire record that rides in a frame payload (barrier, hello,
+// and every wire record that rides in a frame payload (barrier and
 // machine-result records) — the bytes a socket peer can feed the
 // coordinator.
 //
@@ -50,20 +50,6 @@ void check_records(const std::byte* bytes, std::size_t size) {
     ByteReader rr(w.bytes().data(), w.bytes().size());
     const BarrierRecord b2 = decode_barrier(rr);
     if (b2.status != b.status || b2.result_bytes != b.result_bytes) {
-      std::abort();
-    }
-  } catch (const FrameError&) {
-  } catch (const ContractViolation&) {
-  }
-
-  try {
-    ByteReader r(bytes, size);
-    const HelloRecord h = decode_hello(r);
-    ByteWriter w;
-    encode_hello(w, h);
-    ByteReader rr(w.bytes().data(), w.bytes().size());
-    const HelloRecord h2 = decode_hello(rr);
-    if (h2.slot != h.slot || h2.round != h.round) {
       std::abort();
     }
   } catch (const FrameError&) {

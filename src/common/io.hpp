@@ -1,8 +1,8 @@
 // EINTR-safe file-descriptor IO for every transport that moves bytes
-// across a process boundary (the socket backend's TCP frame streams).
+// across a process boundary (the socket backend's frame streams).
 //
-// POSIX read/write may transfer fewer bytes than asked (signals, pipe
-// buffers, TCP segmentation).  Before this helper existed each caller
+// POSIX read/write may transfer fewer bytes than asked (signals, pipe and
+// socket buffers).  Before this helper existed each caller
 // carried its own retry loop; a site that forgot one turned EINTR in the
 // middle of a 17-byte barrier into a corrupt-barrier failure.  These are
 // the only retry loops in the codebase — everything above them speaks in

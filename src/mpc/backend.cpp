@@ -57,7 +57,7 @@ std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind,
     return std::make_unique<SocketBackend>(std::move(pool), recorder);
 #else
     throw std::runtime_error(
-        "the socket execution backend requires Linux (fork + TCP loopback)");
+        "the socket execution backend requires Linux (fork + socketpair)");
 #endif
   }
   (void)recorder;

@@ -13,13 +13,13 @@
 //   * `SocketBackend`  — bodies run in forked worker processes.  A machine
 //     body gets a copy-on-write snapshot of the host state; its writes are
 //     invisible to the host and to sibling machines, so a stray pointer
-//     physically cannot corrupt another machine's fragment.  Workers
-//     connect back to the host's TCP coordinator and stream the shared
-//     machine-result records as length-prefixed frames
-//     (transport_socket.hpp).  See docs/BACKENDS.md.
+//     physically cannot corrupt another machine's fragment.  Each worker
+//     streams the shared machine-result records as length-prefixed frames
+//     over its own unix socket pair (transport_socket.hpp).  See
+//     docs/BACKENDS.md.
 //
-// Every backend owns a `Transport` (mpc/transport.hpp): the one framed
-// record layer all cross-machine bytes go through, with uniform
+// Every backend owns a `Transport` (mpc/transport.hpp): the name of the
+// wire its cross-machine bytes cross, with uniform
 // frames/bytes/flushes/barrier counters the cluster surfaces on the obs
 // spine after each round.
 //
@@ -50,7 +50,7 @@ class MachineContext;
 enum class BackendKind : std::uint8_t {
   kAuto = 0,    ///< resolve from MPCSD_BACKEND (default: thread)
   kThread = 1,  ///< shared-address-space thread pool (seed semantics)
-  kSocket = 3,  ///< forked workers streaming frames over localhost TCP
+  kSocket = 3,  ///< forked workers streaming frames over socket pairs
 };
 
 /// Parses a `MPCSD_BACKEND` / `--backend` value; nullopt if unrecognised.

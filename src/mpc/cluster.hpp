@@ -57,7 +57,7 @@ struct ClusterConfig {
   /// RMW per machine; rounds with few machines keep perfect balancing.
   std::size_t grain = 0;
   /// How machine bodies execute: the shared thread pool (seed semantics)
-  /// or forked worker processes streaming results over TCP frames (physical
+  /// or forked worker processes streaming results as socket frames (physical
   /// isolation).  kAuto resolves through MPCSD_BACKEND and defaults to
   /// thread.  Results and metering are backend-invariant; see backend.hpp.
   BackendKind backend = BackendKind::kAuto;

@@ -36,7 +36,7 @@ FrameHeader decode_frame_header(const std::byte* data, std::size_t size) {
     throw FrameError("unsupported frame version " + std::to_string(version));
   }
   const auto tag = r.get<std::uint8_t>();
-  if (tag < static_cast<std::uint8_t>(FrameTag::kHello) ||
+  if (tag < static_cast<std::uint8_t>(FrameTag::kResults) ||
       tag > static_cast<std::uint8_t>(FrameTag::kError)) {
     throw FrameError("unknown frame tag " + std::to_string(tag));
   }
@@ -111,18 +111,6 @@ BarrierRecord decode_barrier(ByteReader& r) {
   }
   record.result_bytes = r.get<std::uint64_t>();
   record.body_seconds = r.get<double>();
-  return record;
-}
-
-void encode_hello(ByteWriter& w, const HelloRecord& record) {
-  w.put<std::uint32_t>(record.slot);
-  w.put<std::uint64_t>(record.round);
-}
-
-HelloRecord decode_hello(ByteReader& r) {
-  HelloRecord record;
-  record.slot = r.get<std::uint32_t>();
-  record.round = r.get<std::uint64_t>();
   return record;
 }
 

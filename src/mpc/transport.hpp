@@ -14,8 +14,7 @@
 //   * machine-result record the (report, stash, outbox) triple one machine
 //                           produced;
 //   * `BarrierRecord`       the end-of-round worker status (17 bytes, a
-//                           frame payload);
-//   * `HelloRecord`         a forked worker's connect-back handshake.
+//                           frame payload).
 //
 // Frames wrap records for fd-based transports: a fixed 14-byte header
 // (magic, version, tag, payload length — all length-prefixed, validated
@@ -57,9 +56,9 @@ class FrameError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Message kinds carried on a frame stream.
+/// Message kinds carried on a frame stream.  Values are wire bytes and are
+/// never reused: 1 (a retired handshake) decodes as an unknown tag.
 enum class FrameTag : std::uint8_t {
-  kHello = 1,    ///< worker -> coordinator: slot, round
   kResults = 2,  ///< worker -> coordinator: machine-result records
   kBarrier = 3,  ///< worker -> coordinator: end-of-round BarrierRecord
   kError = 4,    ///< worker -> coordinator: failure message (string)
@@ -67,7 +66,7 @@ enum class FrameTag : std::uint8_t {
 
 /// "MPCF" little-endian; the first 4 bytes of every frame.
 inline constexpr std::uint32_t kFrameMagic = 0x4643504Du;
-inline constexpr std::uint8_t kFrameVersion = 2;
+inline constexpr std::uint8_t kFrameVersion = 3;
 /// magic u32 + version u8 + tag u8 + payload length u64.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 1 + 8;
 /// Hard cap on one frame's payload; a length past this is rejected before
@@ -75,12 +74,12 @@ inline constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 1 + 8;
 inline constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 30;
 
 struct FrameHeader {
-  FrameTag tag = FrameTag::kHello;
+  FrameTag tag = FrameTag::kResults;
   std::uint64_t payload_bytes = 0;
 };
 
 struct Frame {
-  FrameTag tag = FrameTag::kHello;
+  FrameTag tag = FrameTag::kResults;
   Bytes payload;
 };
 
@@ -100,7 +99,7 @@ void encode_frame_header(ByteWriter& w, FrameTag tag,
 /// Uniform counters every transport maintains; surfaced on the obs spine
 /// as `transport.*` after each round.  What a "frame" is depends on the
 /// transport (see docs/BACKENDS.md): an envelope handed to the in-process
-/// router, one wire frame for tcp.
+/// router, one wire frame for unix.
 struct TransportCounters {
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_received = 0;
@@ -110,32 +109,24 @@ struct TransportCounters {
   std::uint64_t barrier_waits = 0;  ///< end-of-round barriers awaited
 };
 
-/// A transport owns the counters for one backend's boundary crossings.
+/// The counters for one backend's boundary crossings, under the name of
+/// its wire ("inproc" for the in-process router, "unix" for the socket
+/// backend's per-worker socket pairs).
 class Transport {
  public:
-  virtual ~Transport() = default;
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
+  explicit Transport(const char* name) noexcept : name_(name) {}
+  [[nodiscard]] const char* name() const noexcept { return name_; }
   [[nodiscard]] const TransportCounters& counters() const noexcept {
     return counters_;
   }
   [[nodiscard]] TransportCounters& counters() noexcept { return counters_; }
 
  private:
+  const char* name_;
   TransportCounters counters_;
 };
 
-/// Counter-only transport for a backend whose wire is a memory move (the
-/// in-process router).
-class CountingTransport final : public Transport {
- public:
-  explicit CountingTransport(const char* name) noexcept : name_(name) {}
-  [[nodiscard]] const char* name() const noexcept override { return name_; }
-
- private:
-  const char* name_;
-};
-
-/// Framed messages over an fd (TCP sockets; pipes in tests).  Does not
+/// Framed messages over an fd (unix socket pairs; pipes in tests).  Does not
 /// own the fd.  `counters` (optional) meters every frame moved.
 class FrameStream {
  public:
@@ -178,16 +169,6 @@ void encode_barrier(ByteWriter& w, const BarrierRecord& record);
 /// Throws FrameError on an unknown status byte (reader underflow raises
 /// ContractViolation as everywhere else).
 [[nodiscard]] BarrierRecord decode_barrier(ByteReader& r);
-
-/// Worker -> coordinator handshake: the pool slot the worker was forked
-/// for and the round it runs.  The machine range follows from the slot.
-struct HelloRecord {
-  std::uint32_t slot = 0;
-  std::uint64_t round = 0;
-};
-
-void encode_hello(ByteWriter& w, const HelloRecord& record);
-[[nodiscard]] HelloRecord decode_hello(ByteReader& r);
 
 /// Appends one machine-result record — report, stash, then the outbox as
 /// a count plus (dest, payload) pairs.  docs/BACKENDS.md documents it as

@@ -1,10 +1,13 @@
 // The pluggable execution-backend layer: kind parsing / resolution policy,
 // thread/socket byte equivalence on raw cluster rounds, the unmetered
 // stash side channel, and worker-failure propagation from forked bodies
-// over TCP frames.
+// over socket frames: a thrown body, a dead worker, and no descriptor
+// leaked either way.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -88,7 +91,7 @@ TEST(Backend, BackendsExposeTheirTransport) {
       "inproc");
   EXPECT_STREQ(
       make_backend(BackendKind::kSocket, pool, nullptr)->transport().name(),
-      "tcp");
+      "unix");
 }
 
 TEST(Backend, SocketRoundByteIdenticalToThreadRound) {
@@ -213,6 +216,81 @@ TEST(Backend, IsolatedWritesToCapturedHostStateAreInvisible) {
     host_state = 999;  // lands in the child's COW copy only
   });
   EXPECT_EQ(host_state, 42u);
+}
+
+std::vector<Bytes> machine_ids(std::uint64_t machines) {
+  std::vector<Bytes> inputs;
+  for (std::uint64_t i = 0; i < machines; ++i) inputs.push_back(payload_of(i));
+  return inputs;
+}
+
+/// Runs one socket round on `cluster` in which machine `doomed` kills its
+/// worker process outright (no frame, no barrier) and returns the error.
+std::string worker_death_error(Cluster& cluster, std::uint64_t doomed) {
+  try {
+    cluster.run_round("dies", machine_ids(6), [doomed](MachineContext& ctx) {
+      auto r = ctx.reader();
+      if (r.get<std::uint64_t>() == doomed) std::_Exit(9);
+    });
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Backend, SocketWorkerDeathIsATypedError) {
+  // Workers = 3 over 6 machines: machine 0 lives in the first slot,
+  // machine 5 in the last.  A worker that dies mid-round is EOF on its
+  // socket pair, reported with its machine range; the cluster stays
+  // usable for the next round.
+  ClusterConfig cfg;
+  cfg.workers = 3;
+  cfg.backend = BackendKind::kSocket;
+  Cluster cluster(cfg);
+  for (const std::uint64_t doomed : {std::uint64_t{0}, std::uint64_t{5}}) {
+    const std::string what = worker_death_error(cluster, doomed);
+    EXPECT_NE(what.find("died before the round barrier"), std::string::npos)
+        << doomed << ": " << what;
+    const Mail mail =
+        cluster.run_round("recovers", machine_ids(6), [](MachineContext& ctx) {
+          ctx.emit(0, payload_of(ctx.reader().get<std::uint64_t>()));
+        });
+    EXPECT_EQ(mail.all().size(), 6u) << doomed;
+  }
+}
+
+std::size_t open_descriptors() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Backend, SocketRoundsLeakNoDescriptors) {
+  // Every socket pair is closed on both sides whatever the round's fate:
+  // clean, a thrown body, or a dead worker.
+  ClusterConfig cfg;
+  cfg.workers = 3;
+  cfg.backend = BackendKind::kSocket;
+  Cluster cluster(cfg);
+  const std::size_t before = open_descriptors();
+  for (int round = 0; round < 20; ++round) {
+    const int fate = round % 3;
+    try {
+      cluster.run_round("fates", machine_ids(6), [fate](MachineContext& ctx) {
+        const auto v = ctx.reader().get<std::uint64_t>();
+        if (fate == 1 && v == 2) throw std::runtime_error("thrown");
+        if (fate == 2 && v == 3) std::_Exit(9);
+        ctx.emit(0, payload_of(v));
+      });
+      EXPECT_EQ(fate, 0) << round;
+    } catch (const std::runtime_error&) {
+      EXPECT_NE(fate, 0) << round;
+    }
+  }
+  EXPECT_EQ(open_descriptors(), before);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // The transport layer: frame header validation, wire-record round trips
-// (barrier / hello / machine results), FrameStream over real fds, the
-// EINTR-safe io helpers, host:port parsing, and the socket transport's
-// listen/accept/connect edge cases.
+// (barrier / machine results), FrameStream over real fds, and the
+// EINTR-safe io helpers.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -17,7 +16,6 @@
 #include "common/io.hpp"
 #include "mpc/stats.hpp"
 #include "mpc/transport.hpp"
-#include "mpc/transport_socket.hpp"
 
 namespace mpcsd::mpc {
 namespace {
@@ -29,8 +27,8 @@ Bytes header_bytes(FrameTag tag, std::uint64_t payload_bytes) {
 }
 
 TEST(Frame, HeaderRoundTripsEveryTag) {
-  for (const auto tag : {FrameTag::kHello, FrameTag::kResults,
-                         FrameTag::kBarrier, FrameTag::kError}) {
+  for (const auto tag :
+       {FrameTag::kResults, FrameTag::kBarrier, FrameTag::kError}) {
     const Bytes raw = header_bytes(tag, 12345);
     ASSERT_EQ(raw.size(), kFrameHeaderBytes);
     const FrameHeader h = decode_frame_header(raw.data(), raw.size());
@@ -40,28 +38,30 @@ TEST(Frame, HeaderRoundTripsEveryTag) {
 }
 
 TEST(Frame, TruncatedHeaderThrows) {
-  const Bytes raw = header_bytes(FrameTag::kHello, 0);
+  const Bytes raw = header_bytes(FrameTag::kResults, 0);
   for (std::size_t n = 0; n < kFrameHeaderBytes; ++n) {
     EXPECT_THROW((void)decode_frame_header(raw.data(), n), FrameError) << n;
   }
 }
 
 TEST(Frame, BadMagicThrows) {
-  Bytes raw = header_bytes(FrameTag::kHello, 0);
+  Bytes raw = header_bytes(FrameTag::kResults, 0);
   raw[0] ^= std::byte{0xFF};
   EXPECT_THROW((void)decode_frame_header(raw.data(), raw.size()), FrameError);
 }
 
 TEST(Frame, UnsupportedVersionThrows) {
-  Bytes raw = header_bytes(FrameTag::kHello, 0);
+  Bytes raw = header_bytes(FrameTag::kResults, 0);
   raw[4] = std::byte{kFrameVersion + 1};
   EXPECT_THROW((void)decode_frame_header(raw.data(), raw.size()), FrameError);
 }
 
 TEST(Frame, UnknownTagThrows) {
-  for (const std::uint8_t tag : {std::uint8_t{0}, std::uint8_t{5},
-                                 std::uint8_t{9}, std::uint8_t{0xFF}}) {
-    Bytes raw = header_bytes(FrameTag::kHello, 0);
+  // Tag 1 is retired and never reused.
+  for (const std::uint8_t tag : {std::uint8_t{0}, std::uint8_t{1},
+                                 std::uint8_t{5}, std::uint8_t{9},
+                                 std::uint8_t{0xFF}}) {
+    Bytes raw = header_bytes(FrameTag::kResults, 0);
     raw[5] = std::byte{tag};
     EXPECT_THROW((void)decode_frame_header(raw.data(), raw.size()), FrameError)
         << unsigned(tag);
@@ -96,16 +96,6 @@ TEST(Records, BarrierRejectsUnknownStatus) {
   raw[0] = std::byte{kWorkerBodyThrew + 1};
   ByteReader r(raw.data(), raw.size());
   EXPECT_THROW((void)decode_barrier(r), FrameError);
-}
-
-TEST(Records, HelloRoundTrips) {
-  ByteWriter w;
-  encode_hello(w, HelloRecord{7, 42});
-  ASSERT_EQ(w.bytes().size(), 4u + 8u);  // slot u32 + round u64
-  ByteReader r(w.bytes().data(), w.bytes().size());
-  const HelloRecord hello = decode_hello(r);
-  EXPECT_EQ(hello.slot, 7u);
-  EXPECT_EQ(hello.round, 42u);
 }
 
 TEST(Records, MachineResultRoundTrips) {
@@ -248,39 +238,6 @@ TEST(Io, ReadFullAssemblesDribbledWrites) {
   writer.join();
   io::close_fd(fds[0]);
   EXPECT_EQ(fds[0], -1);  // close_fd resets the stored fd
-}
-
-TEST(HostPort, ParsesHostAndPort) {
-  const HostPort one = parse_host_port("127.0.0.1:7000");
-  EXPECT_EQ(one.host, "127.0.0.1");
-  EXPECT_EQ(one.port, 7000);
-
-  const HostPort spaced = parse_host_port(" localhost:0 ");
-  EXPECT_EQ(spaced.host, "localhost");
-  EXPECT_EQ(spaced.port, 0);
-
-  EXPECT_EQ(parse_host_port("10.0.0.2:65535").port, 65535);
-}
-
-TEST(HostPort, RejectsMalformedEntries) {
-  // A comma list is malformed too: the listen address is one host:port.
-  for (const char* bad : {"", "nocolon", ":7000", "host:", "host:abc",
-                          "host:70000", "a:1,,b:2", "a:1,", "a:1,b:2"}) {
-    EXPECT_THROW((void)parse_host_port(bad), std::invalid_argument)
-        << "'" << bad << "'";
-  }
-}
-
-TEST(SocketTransport, AcceptTimesOutAndConnectFailsCleanly) {
-  SocketTransport coordinator(HostPort{"localhost", 0});
-  coordinator.ensure_listening();
-  EXPECT_NE(coordinator.address().port, 0);  // ephemeral port resolved
-  EXPECT_STREQ(coordinator.name(), "tcp");
-  EXPECT_EQ(coordinator.accept_connection(10), -1);  // nobody connecting
-  // A connect to a port nobody listens on fails with -1, not an exception.
-  EXPECT_EQ(SocketTransport::connect_to(HostPort{"127.0.0.1", 1}), -1);
-  // An unresolvable host is also a clean failure.
-  EXPECT_EQ(SocketTransport::connect_to(HostPort{"not-an-address", 9}), -1);
 }
 
 }  // namespace

@@ -27,5 +27,7 @@ int main() {
        sizeof(sa));
   const int gfd = ::socket(AF_INET, SOCK_STREAM, 0);  // mpcsd-expect: conf-socket-primitive
   if (::connect(gfd, nullptr, 0) != 0) return 1;  // mpcsd-expect: conf-socket-primitive
+  int pair[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, pair) != 0) return 1;  // mpcsd-expect: conf-socket-primitive
   return static_cast<int>(word) + static_cast<int>(kRouterNsPerCell);  // mpcsd-expect: conf-router-constant
 }

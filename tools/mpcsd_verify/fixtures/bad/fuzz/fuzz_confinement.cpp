@@ -29,5 +29,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   connect(fd, nullptr, 0);  // mpcsd-expect: conf-socket-primitive
   const int gfd = ::socket(AF_INET, SOCK_STREAM, 0);  // mpcsd-expect: conf-socket-primitive
   if (::connect(gfd, nullptr, 0) != 0) return 0;  // mpcsd-expect: conf-socket-primitive
+  int pair[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, pair) != 0) return 0;  // mpcsd-expect: conf-socket-primitive
   return page == nullptr ? 0 : data[0];
 }

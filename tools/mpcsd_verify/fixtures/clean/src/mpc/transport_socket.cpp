@@ -1,28 +1,24 @@
 // Clean fixture: mirrors src/mpc/transport_socket.cpp, the only TU
-// allowed socket primitives and fork (it spawns its connect-back
-// workers).  Must produce no findings.
-#include <netinet/in.h>
+// allowed socket primitives and fork (it forks its workers, one socket
+// pair each).  Must produce no findings.
 #include <sys/socket.h>
 #include <unistd.h>
 
 namespace mpc {
 
-int open_listener() {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in sa{};
-  bind(fd, static_cast<const sockaddr*>(static_cast<const void*>(&sa)),
-       sizeof(sa));
-  listen(fd, 16);
-  return accept4(fd, nullptr, nullptr, 0);
+int spawn_worker(int* parent_end) {
+  int pair[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair) != 0) {
+    return -1;
+  }
+  const int pid = ::fork();
+  if (pid == 0) {
+    close(pair[0]);
+    _exit(0);
+  }
+  close(pair[1]);
+  *parent_end = pair[0];
+  return pid;
 }
-
-int dial(const sockaddr_in& sa) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  connect(fd, static_cast<const sockaddr*>(static_cast<const void*>(&sa)),
-          sizeof(sa));
-  return fd;
-}
-
-int spawn_worker() { return fork(); }
 
 }  // namespace mpc

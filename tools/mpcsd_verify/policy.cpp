@@ -83,7 +83,8 @@ bool Policy::allow_intrinsics(std::string_view path) {
 }
 
 bool Policy::allow_process_primitives(std::string_view path) {
-  // The socket transport forks its connect-back workers: the one fork site.
+  // The socket backend forks its workers, one socket pair each: the one
+  // fork site.
   return path_ends_with(path, "src/mpc/transport_socket.cpp");
 }
 

@@ -572,7 +572,8 @@ class FileAnalysis {
     // preceding `.`, `->` or `Scope::` disqualifies a match.  A leading `::`
     // names the global syscall and still fires.
     static const std::unordered_set<std::string_view> socket_prims = {
-        "socket", "bind", "listen", "accept", "accept4", "connect",
+        "socket", "socketpair", "bind", "listen", "accept", "accept4",
+        "connect",
     };
 
     for (std::size_t i = 0; i < t_.size(); ++i) {
