@@ -1,10 +1,13 @@
 // google-benchmark micro-benchmarks for the sequential engines — the unit
 // costs underlying the Table 1 work columns, plus the DESIGN.md ablations
-// (dense vs sparse Ulam, naive vs fast combine, exact vs 3+eps unit).
+// (dense vs sparse Ulam, naive vs fast combine, exact vs 3+eps unit), and
+// Algorithm 1's per-block candidate scoring.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <unordered_map>
 
+#include "common/grid.hpp"
 #include "common/rng.hpp"
 #include "core/workload.hpp"
 #include "seq/approx_edit.hpp"
@@ -12,6 +15,8 @@
 #include "seq/combine.hpp"
 #include "seq/edit_distance.hpp"
 #include "seq/ulam.hpp"
+#include "ulam_mpc/candidates.hpp"
+#include "ulam_mpc/solver.hpp"
 
 namespace {
 
@@ -83,6 +88,44 @@ void BM_LocalUlam(benchmark::State& state) {
   state.SetComplexityN(n);
 }
 BENCHMARK(BM_LocalUlam)->Range(1024, 32768)->Complexity(benchmark::oNLogN);
+
+// Round 1 of Theorem 4 at the solver's defaults (eps' = 0.25, B =
+// ceil(n^{2/3}) = 407 at n = 8192): Algorithm 1 on each of the 21 blocks of
+// one permutation with n/64 planted edits.  Scoring the candidate windows,
+// not lulam (BM_LocalUlam), is where this round spends its time; items are
+// the windows scored.
+void BM_UlamBlockCandidates(benchmark::State& state) {
+  constexpr std::int64_t kN = 8192;
+  const ulam_mpc::UlamMpcParams defaults;
+  const auto s = core::random_permutation(kN, 1);
+  const auto t = core::plant_edits(s, kN / 64, 2, true).text;
+  std::unordered_map<Symbol, std::int64_t> pos_in_t;
+  for (std::size_t j = 0; j < t.size(); ++j) pos_in_t.emplace(t[j], static_cast<std::int64_t>(j));
+  std::vector<std::int64_t> positions;
+  for (const Symbol v : s) {
+    const auto it = pos_in_t.find(v);
+    positions.push_back(it == pos_in_t.end() ? -1 : it->second);
+  }
+  ulam_mpc::CandidateParams params;
+  params.eps_prime = defaults.epsilon / 2.0;
+  params.theta_constant = defaults.theta_constant;
+  params.n = kN;
+  params.n_bar = static_cast<std::int64_t>(t.size());
+  const std::int64_t block = ipow_ceil(kN, 1.0 - defaults.x);
+  std::int64_t windows = 0;
+  for (auto _ : state) {
+    for (std::int64_t begin = 0; begin < kN; begin += block) {
+      const auto end = std::min(kN, begin + block);
+      const std::vector<std::int64_t> feed(positions.begin() + begin, positions.begin() + end);
+      Pcg32 rng = derive_stream(defaults.seed, static_cast<std::uint64_t>(begin));
+      ulam_mpc::CandidateStats stats;
+      benchmark::DoNotOptimize(ulam_mpc::build_block_candidates(begin, feed, params, rng, &stats));
+      windows += static_cast<std::int64_t>(stats.candidates_evaluated);
+    }
+  }
+  state.SetItemsProcessed(windows);
+}
+BENCHMARK(BM_UlamBlockCandidates)->Unit(benchmark::kMillisecond);
 
 void BM_ApproxEditNear(benchmark::State& state) {
   const auto n = state.range(0);

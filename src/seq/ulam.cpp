@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/fenwick.hpp"
@@ -287,14 +288,7 @@ LocalUlamResult local_ulam_dense(SymView block, SymView t, std::uint64_t* work) 
                        static_cast<std::int64_t>(t.size()));
 }
 
-namespace {
-
-/// Compresses match points (sorted by p) into maximal diagonal runs,
-/// expressed as zero-distance combine tuples: [p_s, p_e+1) x [q_s, q_e+1).
-/// An exchange argument shows some optimal chain always uses maximal runs
-/// in full, so the chain DP may operate on runs — for similar strings this
-/// shrinks the instance from ~n points to ~d runs.
-std::vector<Tuple> runs_as_tuples(const std::vector<MatchPoint>& pts) {
+std::vector<Tuple> diagonal_runs(const std::vector<MatchPoint>& pts) {
   std::vector<Tuple> runs;
   std::size_t i = 0;
   while (i < pts.size()) {
@@ -309,37 +303,53 @@ std::vector<Tuple> runs_as_tuples(const std::vector<MatchPoint>& pts) {
   return runs;
 }
 
+namespace {
+
+/// Run-compressed chain DP: the max-gap combine over zero-distance run
+/// tuples computes exactly the chain formula (start gap + max-gaps + end
+/// gap), in O(R log^2 R) for R runs.
+std::int64_t combine_runs(std::vector<Tuple> runs, std::int64_t na, std::int64_t nb,
+                          std::uint64_t* work) {
+  CombineOptions options;
+  options.gap = GapCost::kMax;
+  options.use_fast = true;
+  return combine_tuples(std::move(runs), na, nb, options, work);
+}
+
 }  // namespace
 
 std::int64_t ulam_from_match_points(const std::vector<MatchPoint>& pts,
                                     std::int64_t na, std::int64_t nb,
                                     std::uint64_t* work) {
-  // Run-compressed chain DP: the max-gap combine over zero-distance run
-  // tuples computes exactly the chain formula (start gap + max-gaps + end
-  // gap), in O(R log^2 R) for R runs.
-  CombineOptions options;
-  options.gap = GapCost::kMax;
-  options.use_fast = true;
-  return combine_tuples(runs_as_tuples(pts), na, nb, options, work);
+  return combine_runs(diagonal_runs(pts), na, nb, work);
+}
+
+std::optional<std::int64_t> bounded_ulam_from_runs(std::vector<Tuple> runs,
+                                                   std::int64_t na, std::int64_t nb,
+                                                   std::int64_t cap,
+                                                   std::uint64_t scanned,
+                                                   std::uint64_t* work) {
+  MPCSD_EXPECTS(cap >= 0);
+  if (std::abs(na - nb) > cap) return std::nullopt;
+  if (work != nullptr) *work += scanned;
+  const std::int64_t d = combine_runs(std::move(runs), na, nb, work);
+  if (d > cap) return std::nullopt;
+  return d;
 }
 
 std::optional<std::int64_t> bounded_ulam_from_match_points(
     const std::vector<MatchPoint>& pts, std::int64_t na, std::int64_t nb,
     std::int64_t cap, std::uint64_t* work) {
-  MPCSD_EXPECTS(cap >= 0);
-  if (std::abs(na - nb) > cap) return std::nullopt;
   // Any alignment of cost <= cap only visits DP cells (i, j) with
   // |i - j| <= cap, so match points outside the band cannot participate in
-  // an optimal chain of a distance-<=cap transformation.
-  std::vector<MatchPoint> band;
-  band.reserve(pts.size());
-  for (const MatchPoint& m : pts) {
-    if (std::abs(m.p - m.q) <= cap) band.push_back(m);
-  }
-  if (work != nullptr) *work += pts.size();
-  const std::int64_t d = ulam_from_match_points(band, na, nb, work);
-  if (d > cap) return std::nullopt;
-  return d;
+  // an optimal chain of a distance-<=cap transformation.  A run lies on one
+  // diagonal q - p, so the band keeps or drops whole runs, and the runs of
+  // the band's points are exactly the runs that pass.
+  auto runs = diagonal_runs(pts);
+  std::erase_if(runs, [cap](const Tuple& r) {
+    return std::abs(r.window_begin - r.block_begin) > cap;
+  });
+  return bounded_ulam_from_runs(std::move(runs), na, nb, cap, pts.size(), work);
 }
 
 LocalUlamResult local_ulam_from_match_points(const std::vector<MatchPoint>& pts,

@@ -25,6 +25,7 @@
 #include <optional>
 #include <vector>
 
+#include "seq/combine.hpp"
 #include "seq/types.hpp"
 
 namespace mpcsd::seq {
@@ -75,6 +76,13 @@ LocalUlamResult local_ulam_bruteforce(SymView block, SymView t);
 // Ulam machinery runs on that feed directly.
 // ---------------------------------------------------------------------------
 
+/// The maximal diagonal runs of `pts` (sorted by p, strictly increasing p,
+/// pairwise distinct q) as zero-distance combine tuples
+/// [p_s, p_e + 1) x [q_s, q_e + 1), in p order.  An exchange argument shows
+/// some optimal chain always uses maximal runs in full, so the chain DP may
+/// operate on runs: for similar strings ~n points shrink to ~d runs.
+std::vector<Tuple> diagonal_runs(const std::vector<MatchPoint>& pts);
+
 /// Ulam distance from match points.  `pts` must be sorted by p with strictly
 /// increasing p and pairwise distinct q; na/nb are the string lengths.
 std::int64_t ulam_from_match_points(const std::vector<MatchPoint>& pts,
@@ -88,6 +96,17 @@ std::int64_t ulam_from_match_points(const std::vector<MatchPoint>& pts,
 std::optional<std::int64_t> bounded_ulam_from_match_points(
     const std::vector<MatchPoint>& pts, std::int64_t na, std::int64_t nb,
     std::int64_t cap, std::uint64_t* work = nullptr);
+
+/// The capped kernel behind the bounded entry points: std::nullopt at once
+/// (charging nothing) when |na - nb| > cap; otherwise charges `scanned`, the
+/// match points the caller scanned to build `runs`, then runs the chain DP
+/// over `runs` (the diagonal runs inside the band |p - q| <= cap) and
+/// returns the distance when it is <= cap, std::nullopt otherwise.
+std::optional<std::int64_t> bounded_ulam_from_runs(std::vector<Tuple> runs,
+                                                   std::int64_t na, std::int64_t nb,
+                                                   std::int64_t cap,
+                                                   std::uint64_t scanned,
+                                                   std::uint64_t* work = nullptr);
 
 /// lulam from match points against an implicit string t of length nb.
 LocalUlamResult local_ulam_from_match_points(const std::vector<MatchPoint>& pts,

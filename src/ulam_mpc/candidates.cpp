@@ -14,9 +14,16 @@ namespace {
 
 using seq::MatchPoint;
 
-/// Per-block evaluation context: match points of the block against s̄ in
-/// both p-order and q-order, plus a dedup set so that every candidate
-/// window is evaluated exactly once across all guess levels.
+/// Per-block evaluation context: the block's match points against s̄ in
+/// p-order, their maximal diagonal runs, and a dedup set so that every
+/// candidate window is evaluated exactly once across all guess levels.
+///
+/// A window's match points are the block's points with q in [sp, ep).  The
+/// block's points have distinct p, and distinct q because s̄ is repeat-free,
+/// so two of them are diagonal neighbours (p + 1, q + 1) in the window only
+/// if they are in the block.  Hence the window's maximal runs are exactly
+/// the block's runs clipped to q in [sp, ep), and the band test
+/// |q - sp - p| <= cap, constant along a run, keeps or drops whole runs.
 class BlockEvaluator {
  public:
   BlockEvaluator(std::int64_t block_begin, const std::vector<std::int64_t>& positions,
@@ -30,17 +37,17 @@ class BlockEvaluator {
         pts_.push_back(MatchPoint{static_cast<std::int64_t>(p), positions[p]});
       }
     }
-    by_q_ = pts_;
-    std::sort(by_q_.begin(), by_q_.end(),
-              [](const MatchPoint& a, const MatchPoint& b) { return a.q < b.q; });
+    runs_ = seq::diagonal_runs(pts_);
   }
 
   [[nodiscard]] const std::vector<MatchPoint>& points() const noexcept { return pts_; }
-  [[nodiscard]] std::int64_t block_len() const noexcept { return block_len_; }
   [[nodiscard]] std::uint64_t work() const noexcept { return work_; }
 
   /// Evaluates candidate window [sp, ep) with the band-filtered exact
   /// engine capped at `cap`; appends a tuple when the distance is <= cap.
+  /// One pass over the block's runs; the work charged is that of slicing
+  /// the window's points (one per point, plus one) and handing its band to
+  /// `seq::bounded_ulam_from_runs`.
   void evaluate(std::int64_t sp, std::int64_t ep, std::int64_t cap,
                 std::vector<Tuple>& out) {
     sp = std::clamp<std::int64_t>(sp, 0, n_bar_);
@@ -50,26 +57,24 @@ class BlockEvaluator {
     if (!seen_.insert(key).second) return;
     if (stats_ != nullptr) ++stats_->candidates_evaluated;
 
-    // Window slice: match points with q in [sp, ep) are contiguous in
-    // q-order; keep only those within the diagonal band of the cap.
-    const auto lo = std::lower_bound(by_q_.begin(), by_q_.end(), sp,
-                                     [](const MatchPoint& m, std::int64_t v) { return m.q < v; });
-    const auto hi = std::lower_bound(by_q_.begin(), by_q_.end(), ep,
-                                     [](const MatchPoint& m, std::int64_t v) { return m.q < v; });
-    std::vector<MatchPoint> window;
-    window.reserve(static_cast<std::size_t>(hi - lo));
-    for (auto it = lo; it != hi; ++it) {
-      const std::int64_t q_local = it->q - sp;
-      if (std::abs(q_local - it->p) <= cap) {
-        window.push_back(MatchPoint{it->p, q_local});
-      }
+    std::uint64_t sliced = 0;
+    std::uint64_t banded = 0;
+    band_.clear();
+    for (const Tuple& run : runs_) {
+      const std::int64_t q_lo = std::max(run.window_begin, sp);
+      const std::int64_t q_hi = std::min(run.window_end, ep);
+      if (q_lo >= q_hi) continue;
+      const auto len = static_cast<std::uint64_t>(q_hi - q_lo);
+      sliced += len;
+      const std::int64_t diag = run.window_begin - run.block_begin;  // q - p
+      if (std::abs(diag - sp) > cap) continue;
+      banded += len;
+      band_.push_back(Tuple{q_lo - diag, q_hi - diag, q_lo - sp, q_hi - sp, 0});
     }
-    work_ += static_cast<std::uint64_t>(hi - lo) + 1;
-    std::sort(window.begin(), window.end(),
-              [](const MatchPoint& a, const MatchPoint& b) { return a.p < b.p; });
+    work_ += sliced + 1;
 
-    const auto d = seq::bounded_ulam_from_match_points(window, block_len_, ep - sp,
-                                                       cap, &work_);
+    const auto d = seq::bounded_ulam_from_runs(band_, block_len_, ep - sp, cap, banded,
+                                               &work_);
     if (!d.has_value()) {
       if (stats_ != nullptr) ++stats_->candidates_pruned;
       return;
@@ -82,8 +87,9 @@ class BlockEvaluator {
   std::int64_t block_len_;
   std::int64_t n_bar_;
   CandidateStats* stats_;
-  std::vector<MatchPoint> pts_;   // sorted by p
-  std::vector<MatchPoint> by_q_;  // sorted by q
+  std::vector<MatchPoint> pts_;  // sorted by p
+  std::vector<Tuple> runs_;      // maximal diagonal runs of pts_, in p order
+  std::vector<Tuple> band_;      // scratch: one window's clipped in-band runs
   std::unordered_set<std::uint64_t> seen_;
   std::uint64_t work_ = 0;
 };

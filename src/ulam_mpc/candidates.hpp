@@ -19,6 +19,12 @@
 // deduplicated across levels and each is evaluated once with the
 // band-filtered exact Ulam engine (capped at 4û so that a level's good
 // candidate — at distance <= (1+2eps')u — is never pruned).
+//
+// The engine runs on the block's maximal diagonal runs, built once per
+// block: a window's runs are the block's runs clipped to the window, which
+// is exact because the block's match points have distinct p and (s̄ being
+// repeat-free) distinct q.  A window thus costs O(#runs) plus the combine
+// DP over the runs in its band, never a copy or sort of its match points.
 #pragma once
 
 #include <cstdint>

@@ -136,10 +136,11 @@ TEST(Determinism, UlamTraceHashIndependentOfIsaLevel) {
 }
 
 TEST(Determinism, UlamTraceHashIndependentOfExecutionBackend) {
-  // The execution backend (thread pool, or forked workers streaming TCP
-  // frames) is an implementation detail of where machine bodies run; the
-  // metered model — distance, per-round stats, structural trace hash — must
-  // be byte-identical across {thread, socket} x worker counts.
+  // The execution backend (thread pool, or forked workers streaming frames
+  // over one socketpair each) is an implementation detail of where machine
+  // bodies run; the metered model — distance, per-round stats, structural
+  // trace hash — must be byte-identical across {thread, socket} x worker
+  // counts.
   const auto s = core::random_permutation(600, 61);
   const auto t = core::plant_edits(s, 40, 62, true).text;
   auto run = [&](mpc::BackendKind backend, std::size_t workers) {

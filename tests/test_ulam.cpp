@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <optional>
 
 #include "common/contracts.hpp"
 #include "core/workload.hpp"
@@ -112,6 +114,42 @@ TEST(BoundedUlam, ExactWithinCapNulloptBeyond) {
       } else {
         EXPECT_FALSE(d.has_value()) << "seed=" << seed << " cap=" << cap;
       }
+    }
+  }
+}
+
+TEST(BoundedUlam, ChargesScannedPointsAfterTheLengthCheck) {
+  // The capped kernel charges nothing when |na - nb| > cap.  Otherwise it
+  // charges the points scanned, then what the combine over the in-band
+  // runs charges, which is ulam_from_match_points' charge for the band.
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    const auto p = seed % 3 == 2
+                       ? UlamPair{core::random_permutation(30, seed),
+                                  core::random_permutation(30, seed + 100)}
+                       : planted_pair(30, static_cast<std::int64_t>(seed % 12), seed);
+    const auto pts = match_points(p.a, p.b);
+    const auto na = static_cast<std::int64_t>(p.a.size());
+    const auto nb = static_cast<std::int64_t>(p.b.size());
+    for (std::int64_t cap = 0; cap <= 32; ++cap) {
+      std::uint64_t work = 0;
+      const auto d = bounded_ulam_from_match_points(pts, na, nb, cap, &work);
+      if (std::abs(na - nb) > cap) {
+        EXPECT_FALSE(d.has_value());
+        EXPECT_EQ(work, 0u) << "seed=" << seed << " cap=" << cap;
+        continue;
+      }
+      std::vector<MatchPoint> band;
+      for (const MatchPoint& m : pts) {
+        if (std::abs(m.p - m.q) <= cap) band.push_back(m);
+      }
+      std::uint64_t combine_work = 0;
+      const auto full = ulam_from_match_points(band, na, nb, &combine_work);
+      const auto want = full <= cap ? std::optional<std::int64_t>(full) : std::nullopt;
+      EXPECT_EQ(d, want) << "seed=" << seed << " cap=" << cap;
+      EXPECT_EQ(work, pts.size() + combine_work) << "seed=" << seed << " cap=" << cap;
+      std::uint64_t run_work = 0;
+      EXPECT_EQ(bounded_ulam_from_runs(diagonal_runs(band), na, nb, cap, 7, &run_work), want);
+      EXPECT_EQ(run_work, 7 + combine_work);
     }
   }
 }
