@@ -37,8 +37,9 @@ void BM_EditDistanceBandedNearPair(benchmark::State& state) {
   const auto n = state.range(0);
   const auto a = core::random_string(n, 4, 1);
   const auto b = core::plant_edits(a, 32, 3, false).text;
+  const auto limit = static_cast<std::int64_t>(std::max(a.size(), b.size()));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(seq::edit_distance_doubling(a, b));
+    benchmark::DoNotOptimize(seq::edit_distance_bounded(a, b, limit));
   }
   state.SetComplexityN(n);
 }

@@ -1,91 +1,46 @@
-// Machine-readable performance regression suite (BENCH_PR1.json +
-// BENCH_PR3.json + BENCH_PR5.json + BENCH_PR6.json + BENCH_PR8.json +
-// BENCH_PR10.json).
+// Machine-readable performance regression suite.  One run writes one JSON
+// file (`--out`, default BENCH.json):
 //
-// BENCH_PR1 — one JSON record per kernel/routing benchmark:
-//   { "bench": ..., "n": ..., "wall_seconds": ..., "work": ..., "bytes_moved": ... }
+//   {"host":    {"isa_detected", "isa_active", "workers", "build_type", "tier"},
+//    "records": [{"bench", "layer", "params": {"n"[, "batch"][, "mode"]},
+//                 "metrics": {"<name>": {"value", "unit"}, ...}}, ...],
+//    "gates":   [{"name", "value", "op", "bound", "status", "reason"}, ...]}
 //
-//  * edit_unit_{scalar,fast}     — the unit-distance kernel (full DP) that
-//    round-1 machines run per (block, window) pair; the fast variant must
-//    be >= 3x the scalar at n = 2000 (hard-checked, non-smoke runs).
-//  * edit_bounded_{scalar,fast}  — the capped kernel used by the small/large
-//    distance pipelines on near pairs.
-//  * ulam_combine_{copy,view}    — materialising the combine machine's inbox
-//    from round-1 mail: seed semantics concatenate every payload into one
-//    buffer (bytes_moved = inbox size); the zero-copy chain reads the
-//    envelopes in place (bytes_moved = 0).
-//  * ulam_e2e                    — whole Theorem 4 solve; work and
-//    bytes_moved come from the execution trace.
+// `layer` names the part of the system a record isolates:
+//  * seq_kernel  — edit_unit_{scalar,fast} (the unit-distance kernel round-1
+//    machines run per (block, window) pair), edit_bounded_{scalar,fast} (the
+//    capped kernel of the small/large distance pipelines), myers_<isa> (the
+//    multi-word Myers kernel forced to each ISA level the host has);
+//  * round_plane — ulam_combine_{copy,view} (materialising the combine
+//    machine's inbox by concatenation vs reading the envelopes in place),
+//    mail_route_{stable,radix} (a global stable_sort vs the cluster's radix
+//    scatter);
+//  * transport   — {ulam,edit}_batch_backend_{thread,socket} (one batch with
+//    machine bodies on the thread pool vs in forked socket workers);
+//  * solver      — ulam_e2e (one Theorem 4 solve), {ulam,edit}_seq (B
+//    independent `*_distance_mpc` calls, the batch baseline);
+//  * batch       — {ulam,edit}_batch (`core::distance_batch`),
+//    edit_router_{off,auto} (a skewed near-duplicate batch, router off/auto).
 //
-// BENCH_PR3 — batch throughput: queries/sec of `core::distance_batch`
-// against the same B queries solved one `*_distance_mpc` call at a time:
-//   { "bench": "ulam_seq"|"ulam_batch"|"edit_seq"|"edit_batch",
-//     "mode": "seq"|"parallel"|"throughput", "n": ..., "batch": B,
-//     "wall_seconds": ..., "qps": ..., "rounds": ..., "passes": ...,
-//     "ratio_vs_seq": ... }
-// Every batch record carries its BatchMode and the explicit batch-vs-seq
-// throughput ratio at the same (algorithm, n, B) point.
-//
-// Hard gates:
-//  * every tier: a kParallelGuess (and Ulam) batch uses exactly 2 simulated
-//    rounds; a kThroughput batch uses 2 rounds per escalation pass (even).
-//  * non-smoke, any host: edit kThroughput must hold >= 0.5x the sequential
-//    early-exit solver's qps at the largest B — escalation is a *work*
-//    reduction, so this holds even single-core (the PR2 parallel-guess mode
-//    was ~300x slower here; the ratio is recorded for both modes).
-//  * non-smoke, workers > 1: each algorithm's batch must beat sequential
-//    (ratio >= 1.0x) at the largest B — the cross-query parallelism win.
-//  * non-smoke, workers >= 4: ulam_batch must clear >= 1.5x at B=8.
-//
-// BENCH_PR5 — the same numbers through the observability spine: every
-// record re-emits as a span into an AggregateSink whose rollup is written
-// as BENCH_PR5.json (--out3).  All gated measurements run with a sink-less
-// recorder wired through every layer — pricing the disabled recorder on the
-// hot path — and `--trace-out <file>` additionally captures one traced
-// batch run as a Chrome trace-event artifact.
-//
-// BENCH_PR6 (--out4) — ISA kernel throughput and mail routing:
-//  * myers_{scalar,avx2,avx512} — the multi-word Myers kernel forced to
-//    each ISA level the host supports, same inputs, distances and work
-//    meters cross-checked identical; wall is per call, from the best of
-//    `reps` loops of calls lasting >= 10 ms each, the levels' loops taken
-//    in turn.  Hard gate (non-smoke, AVX2 host): the AVX2 kernel must be
-//    >= 2x the scalar kernel at n = 2000.
-//  * mail_route_{stable,radix}  — the round-mail router: a flat move +
-//    global std::stable_sort baseline vs the cluster's counting/radix
-//    scatter, byte-identical output re-verified in-bench.
-//
-// BENCH_PR10 (--out7) — execution backends: the same batch workloads run
-// with machine bodies on the in-process thread pool and in forked workers
-// that stream their results back as frames over socket pairs (the socket
-// backend).  Distances and trace structural hashes are cross-checked
-// identical in-bench — the backend may only move wall clock.  Hard gate
-// (non-smoke): socket-backend wall <= 2x the thread backend on the edit
-// and ulam batch workloads at n = 2000.
-//
-// BENCH_PR8 (--out6) — the cost-model query router: one skewed
-// near-duplicate batch (n = 2000, B = 32; 75% of pairs within edit
-// distance 8, the rest ~n/8 edits away) solved in kThroughput mode with
-// the router off vs auto.  Answers are cross-checked per query (a retired
-// query is exact, the ladder certifies (1 + eps): exact <= auto <= off)
-// and the decision counts
-// (examined / retired_seq / probed / lower_bounded / to_plan) come from a
-// sinked AggregateSink re-run so the gated walls still price the disabled
-// recorder.  Hard gate (non-smoke): router-auto must hold >= 3x the
-// router-off qps on this workload — the output-sensitive portfolio's
-// reason to exist.
-//
-// `--smoke` runs tiny sizes once, checks the emitted JSON parses, and skips
-// the speedup gates — registered in ctest so the suite itself cannot rot.
-// `--full` adds the expensive points (ulam n=4096 with B up to 64, edit
-// kParallelGuess at n=1024).
+// Every bench checks its values in-bench (a mismatch exits 1), and every
+// timed run carries a recorder with no sink through every layer, so the
+// numbers price the disabled observability path.  All ten gates are
+// evaluated and printed, then the run exits 1 if any failed; EXPERIMENTS.md
+// gives each gate's reason.  `--smoke` runs tiny sizes once, marks the ratio
+// gates skipped (the round-shape gate still holds) and re-reads the written
+// file to check its shape.  `--full` adds the expensive points (ulam n=4096
+// with B up to 64, edit kParallelGuess at n=1024).  `--trace-out <file>`
+// writes one traced batch run, made after the measurements, as a Chrome
+// trace.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -106,26 +61,68 @@
 #include "seq/edit_distance_fast.hpp"
 #include "seq/edit_distance_os.hpp"
 #include "seq/myers.hpp"
+#include "seq/ulam.hpp"
 #include "ulam_mpc/solver.hpp"
 
 namespace {
 
 using namespace mpcsd;
 
+constexpr double kMissing = std::numeric_limits<double>::quiet_NaN();
+
+struct Metric {
+  template <typename T>
+  Metric(std::string name_, T value_, std::string unit_)
+      : name(std::move(name_)), value(static_cast<double>(value_)), unit(std::move(unit_)) {}
+  std::string name;
+  double value;
+  std::string unit;
+};
+
+/// One measurement.  `batch` and `mode` are set only where the bench runs a
+/// batch of queries (0 and "" elsewhere).
 struct Record {
   std::string bench;
+  std::string layer;
   std::int64_t n = 0;
-  double wall_seconds = 0.0;
-  std::uint64_t work = 0;
-  std::uint64_t bytes_moved = 0;
+  std::size_t batch = 0;
+  std::string mode;
+  std::vector<Metric> metrics;
+};
+
+struct Gate {
+  std::string name;
+  double value = 0.0;
+  std::string op;      // ">=" | "<=" | "=="
+  double bound = 0.0;
+  std::string status;  // "pass" | "fail" | "skipped"
+  std::string reason;  // why the gate was skipped
+};
+
+/// The gate `value op bound`, skipped when `skip_reason` is non-empty.  A
+/// value that was never measured (NaN) fails.
+Gate gate(std::string name, double value, std::string op, double bound,
+          std::string skip_reason) {
+  const bool holds =
+      op == ">=" ? value >= bound : (op == "<=" ? value <= bound : value == bound);
+  std::string status = !skip_reason.empty() ? "skipped" : (holds ? "pass" : "fail");
+  return Gate{std::move(name), value, std::move(op), bound, std::move(status),
+              std::move(skip_reason)};
+}
+
+struct Host {
+  const char* isa_detected;
+  const char* isa_active;
+  std::size_t workers;
+  const char* build_type;
+  const char* tier;  // "smoke" | "default" | "full"
 };
 
 /// The recorder wired through every measured solver/batch run.  It carries
-/// no sink during the gated measurements — which is exactly the point: the
-/// ratio gates price the *disabled* recorder on the hot path, proving
-/// instrumented builds cost nothing when tracing is off.  Sinks are
-/// attached only after the gates, for the BENCH_PR5 aggregate and the
-/// optional Chrome artifact.
+/// no sink during the measurements — which is exactly the point: the
+/// numbers price the *disabled* recorder on the hot path, proving
+/// instrumented builds cost nothing when tracing is off.  A sink is
+/// attached only after the gates, for the optional Chrome trace.
 obs::Recorder bench_recorder;
 
 /// Minimum wall time over `reps` runs of `f` (first run warms caches).
@@ -168,69 +165,6 @@ std::vector<double> time_best_loops(const std::vector<std::function<void()>>& fs
   return best;
 }
 
-/// Closes `out`; if the file was not fully written, says so and returns false.
-bool written(std::ofstream& out, const std::string& path) {
-  out.close();
-  if (out.fail()) std::fprintf(stderr, "FAIL: cannot write %s\n", path.c_str());
-  return !out.fail();
-}
-
-bool write_json(const std::vector<Record>& records, const std::string& path) {
-  std::ofstream out(path);
-  out << "[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const Record& r = records[i];
-    out << "  {\"bench\": \"" << r.bench << "\", \"n\": " << r.n
-        << ", \"wall_seconds\": " << r.wall_seconds << ", \"work\": " << r.work
-        << ", \"bytes_moved\": " << r.bytes_moved << "}"
-        << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-  return written(out, path);
-}
-
-/// Just enough validation for the smoke gate: the file must exist, be a
-/// bracket-balanced JSON array, and contain one "bench" key per record.
-bool json_well_formed(const std::string& path, std::size_t expected_records) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  long depth = 0;
-  std::size_t keys = 0;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '[' || text[i] == '{') ++depth;
-    if (text[i] == ']' || text[i] == '}') --depth;
-    if (depth < 0) return false;
-    if (text.compare(i, 8, "\"bench\":") == 0) ++keys;
-  }
-  return depth == 0 && keys == expected_records && !text.empty() &&
-         text.front() == '[';
-}
-
-double record_wall(const std::vector<Record>& records, const std::string& bench,
-                   std::int64_t n) {
-  for (const Record& r : records) {
-    if (r.bench == bench && r.n == n) return r.wall_seconds;
-  }
-  return -1.0;
-}
-
-// ---- BENCH_PR3: batch throughput ----
-
-struct BatchRecord {
-  std::string bench;
-  std::string mode;  // "seq" | "parallel" | "throughput"
-  std::int64_t n = 0;
-  std::size_t batch = 0;
-  double wall_seconds = 0.0;
-  double qps = 0.0;
-  std::size_t rounds = 0;
-  std::size_t passes = 0;
-  double ratio_vs_seq = 0.0;  // batch qps / seq qps at the same point
-};
-
 template <typename F>
 double wall_of(F&& f) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -252,21 +186,98 @@ double wall_median(F&& f, int reps) {
   return walls[walls.size() / 2];
 }
 
-bool write_batch_json(const std::vector<BatchRecord>& records,
-                      const std::string& path) {
+/// A JSON number; null for a value that was never measured.
+std::string num(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.12g", v);
+  return buf;
+}
+
+/// Writes the results file.  Every string the suite writes is a program
+/// constant without quotes or backslashes, so none needs escaping.
+bool write_results(const std::string& path, const Host& host,
+                   const std::vector<Record>& records, const std::vector<Gate>& gates) {
   std::ofstream out(path);
-  out << "[\n";
+  out << "{\"host\": {\"isa_detected\": \"" << host.isa_detected
+      << "\", \"isa_active\": \"" << host.isa_active << "\", \"workers\": " << host.workers
+      << ", \"build_type\": \"" << host.build_type << "\", \"tier\": \"" << host.tier
+      << "\"},\n \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const BatchRecord& r = records[i];
-    out << "  {\"bench\": \"" << r.bench << "\", \"mode\": \"" << r.mode
-        << "\", \"n\": " << r.n << ", \"batch\": " << r.batch
-        << ", \"wall_seconds\": " << r.wall_seconds << ", \"qps\": " << r.qps
-        << ", \"rounds\": " << r.rounds << ", \"passes\": " << r.passes
-        << ", \"ratio_vs_seq\": " << r.ratio_vs_seq << "}"
-        << (i + 1 < records.size() ? "," : "") << "\n";
+    const Record& r = records[i];
+    out << "  {\"bench\": \"" << r.bench << "\", \"layer\": \"" << r.layer
+        << "\", \"params\": {\"n\": " << r.n;
+    if (r.batch > 0) out << ", \"batch\": " << r.batch;
+    if (!r.mode.empty()) out << ", \"mode\": \"" << r.mode << "\"";
+    out << "}, \"metrics\": {";
+    for (std::size_t j = 0; j < r.metrics.size(); ++j) {
+      const Metric& m = r.metrics[j];
+      out << (j > 0 ? ", " : "") << "\"" << m.name << "\": {\"value\": " << num(m.value)
+          << ", \"unit\": \"" << m.unit << "\"}";
+    }
+    out << "}}" << (i + 1 < records.size() ? "," : "") << "\n";
   }
-  out << "]\n";
-  return written(out, path);
+  out << " ],\n \"gates\": [\n";
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    const Gate& g = gates[i];
+    out << "  {\"name\": \"" << g.name << "\", \"value\": " << num(g.value)
+        << ", \"op\": \"" << g.op << "\", \"bound\": " << num(g.bound)
+        << ", \"status\": \"" << g.status << "\", \"reason\": \"" << g.reason << "\"}"
+        << (i + 1 < gates.size() ? "," : "") << "\n";
+  }
+  out << " ]}\n";
+  out.close();
+  if (out.fail()) std::fprintf(stderr, "FAIL: cannot write %s\n", path.c_str());
+  return !out.fail();
+}
+
+void print_results(const Host& host, const std::vector<Record>& records,
+                   const std::vector<Gate>& gates) {
+  std::printf("perf_suite: tier=%s workers=%zu isa=%s (active %s) build=%s\n", host.tier,
+              host.workers, host.isa_detected, host.isa_active, host.build_type);
+  for (const Record& r : records) {
+    std::printf("  %-28s %-11s n=%-6lld", r.bench.c_str(), r.layer.c_str(),
+                static_cast<long long>(r.n));
+    if (r.batch > 0) std::printf(" B=%-3zu", r.batch);
+    if (!r.mode.empty()) std::printf(" %-10s", r.mode.c_str());
+    for (const Metric& m : r.metrics) std::printf(" %s=%.6g", m.name.c_str(), m.value);
+    std::printf("\n");
+  }
+  for (const Gate& g : gates) {
+    std::printf("gate %-7s %-30s %.3g %s %g%s%s\n", g.status.c_str(), g.name.c_str(),
+                g.value, g.op.c_str(), g.bound, g.reason.empty() ? "" : " — ",
+                g.reason.c_str());
+  }
+}
+
+/// Just enough validation for the smoke tier: the file is bracket-balanced
+/// and opens with the host object, every record has a non-empty layer, and
+/// every gate has a status.  Counting keys is sound because no string the
+/// suite writes contains a quote or a bracket.
+bool results_file_ok(const std::string& path, std::size_t records, std::size_t gates) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string text = ss.str();
+  const auto count = [&](const std::string& key) {
+    std::size_t c = 0;
+    for (auto pos = text.find(key); pos != std::string::npos; pos = text.find(key, pos + 1)) {
+      ++c;
+    }
+    return c;
+  };
+  long depth = 0;
+  for (const char c : text) {
+    if (c == '[' || c == '{') ++depth;
+    if (c == ']' || c == '}') --depth;
+    if (depth < 0) return false;
+  }
+  return depth == 0 && text.starts_with("{\"host\": {") &&
+         count("\"bench\": ") == records && count("\"layer\": \"") == records &&
+         count("\"layer\": \"\"") == 0 &&
+         count("\"status\": \"pass\"") + count("\"status\": \"fail\"") +
+                 count("\"status\": \"skipped\"") ==
+             gates;
 }
 
 std::vector<core::BatchQuery> make_batch_queries(std::size_t batch,
@@ -286,128 +297,85 @@ std::vector<core::BatchQuery> make_batch_queries(std::size_t batch,
   return queries;
 }
 
-/// Sequential baseline: B independent `*_distance_mpc` calls.
-double bench_seq_point(std::vector<BatchRecord>& records, bool ulam,
-                       std::int64_t n, std::size_t b, int reps) {
+/// Sequential baseline: B independent `*_distance_mpc` calls.  Returns qps.
+double bench_seq_point(std::vector<Record>& records, bool ulam, std::int64_t n,
+                       std::size_t b, int reps) {
   const auto queries = make_batch_queries(b, n, ulam);
-  BatchRecord seq;
-  seq.bench = ulam ? "ulam_seq" : "edit_seq";
-  seq.mode = "seq";
-  seq.n = n;
-  seq.batch = b;
-  std::size_t seq_rounds = 0;
-  seq.wall_seconds = wall_median(
+  std::size_t rounds = 0;
+  const double wall = wall_median(
       [&] {
         for (const auto& query : queries) {
           if (ulam) {
             ulam_mpc::UlamMpcParams params;
             params.seed = 13;
             params.recorder = &bench_recorder;
-            seq_rounds = ulam_mpc::ulam_distance_mpc(query.s, query.t, params)
-                             .trace.round_count();
+            rounds = ulam_mpc::ulam_distance_mpc(query.s, query.t, params)
+                         .trace.round_count();
           } else {
             edit_mpc::EditMpcParams params;
             params.recorder = &bench_recorder;
-            seq_rounds = edit_mpc::edit_distance_mpc(query.s, query.t, params)
-                             .trace.round_count();
+            rounds = edit_mpc::edit_distance_mpc(query.s, query.t, params)
+                         .trace.round_count();
           }
         }
       },
       reps);
-  seq.qps = double(b) / seq.wall_seconds;
-  seq.rounds = seq_rounds;
-  records.push_back(seq);
-  return seq.qps;
+  const double qps = static_cast<double>(b) / wall;
+  records.push_back({ulam ? "ulam_seq" : "edit_seq",
+                     "solver",
+                     n,
+                     b,
+                     "seq",
+                     {{"wall_seconds", wall, "s"},
+                      {"qps", qps, "1/s"},
+                      {"rounds", rounds, "count"}}});
+  return qps;
 }
 
-/// One `distance_batch` execution in `mode`; records the batch-vs-seq qps
-/// ratio.  Returns false on a round-shape violation: a kParallelGuess (or
-/// Ulam) batch must share exactly 2 rounds, a kThroughput batch exactly
-/// 2 rounds per escalation pass.
-bool bench_batch_point(std::vector<BatchRecord>& records, bool ulam,
-                       core::BatchMode mode, std::int64_t n, std::size_t b,
-                       double seq_qps, int reps) {
+/// One `distance_batch` execution in `mode`; returns its qps over
+/// `seq_qps`.  Counts a round-shape violation: a kParallelGuess (or Ulam)
+/// batch must share exactly 2 rounds, a kThroughput batch exactly 2 rounds
+/// per escalation pass.
+double bench_batch_point(std::vector<Record>& records, bool ulam, core::BatchMode mode,
+                         std::int64_t n, std::size_t b, double seq_qps, int reps,
+                         std::size_t& round_violations) {
   const auto queries = make_batch_queries(b, n, ulam);
-  BatchRecord bat;
-  bat.bench = ulam ? "ulam_batch" : "edit_batch";
-  bat.mode = mode == core::BatchMode::kThroughput ? "throughput" : "parallel";
-  bat.n = n;
-  bat.batch = b;
   core::BatchResult result;
-  bat.wall_seconds = wall_median(
+  const double wall = wall_median(
       [&] {
         core::BatchRequest request;
         request.algorithm =
             ulam ? core::BatchAlgorithm::kUlam : core::BatchAlgorithm::kEdit;
         request.mode = mode;
+        // Pinned, so MPCSD_ROUTER=auto cannot retire queries before the
+        // plan and leave the round-shape gate a batch of zero rounds.
+        request.router = core::RouterPolicy::kOff;
         request.ulam.seed = 13;
         request.recorder = &bench_recorder;
         request.queries = queries;
         result = core::distance_batch(request);
       },
       reps);
-  bat.qps = double(b) / bat.wall_seconds;
-  bat.rounds = result.trace.round_count();
-  bat.passes = result.passes;
-  bat.ratio_vs_seq = seq_qps > 0.0 ? bat.qps / seq_qps : 0.0;
-  records.push_back(bat);
+  const double qps = static_cast<double>(b) / wall;
+  const double ratio = seq_qps > 0.0 ? qps / seq_qps : 0.0;
+  const std::size_t rounds = result.trace.round_count();
+  const bool throughput = mode == core::BatchMode::kThroughput;
+  records.push_back({ulam ? "ulam_batch" : "edit_batch",
+                     "batch",
+                     n,
+                     b,
+                     throughput ? "throughput" : "parallel",
+                     {{"wall_seconds", wall, "s"},
+                      {"qps", qps, "1/s"},
+                      {"rounds", rounds, "count"},
+                      {"passes", result.passes, "count"},
+                      {"ratio_vs_seq", ratio, "ratio"}}});
 
-  if (ulam || mode == core::BatchMode::kParallelGuess) {
-    return bat.rounds == 2;
-  }
-  return bat.rounds == 2 * bat.passes && bat.passes >= 1;
-}
-
-double batch_ratio(const std::vector<BatchRecord>& records,
-                   const std::string& bench, const std::string& mode,
-                   std::int64_t n, std::size_t b) {
-  for (const BatchRecord& r : records) {
-    if (r.bench == bench && r.mode == mode && r.n == n && r.batch == b) {
-      return r.ratio_vs_seq;
-    }
-  }
-  return -1.0;
-}
-
-// ---- BENCH_PR8: the query router on a skewed near-duplicate batch ----
-
-struct RouterRecord {
-  std::string bench;  // "edit_router_off" | "edit_router_auto"
-  std::int64_t n = 0;
-  std::size_t batch = 0;
-  double wall_seconds = 0.0;
-  double qps = 0.0;
-  std::size_t rounds = 0;
-  std::size_t passes = 0;
-  double ratio_vs_off = 0.0;  // this record's qps / the router-off qps
-  // Router decision counts from the sinked re-run (zero for router-off).
-  std::uint64_t examined = 0;
-  std::uint64_t retired_seq = 0;
-  std::uint64_t probed = 0;
-  std::uint64_t lower_bounded = 0;
-  std::uint64_t to_plan = 0;
-};
-
-bool write_router_json(const std::vector<RouterRecord>& records,
-                       const std::string& path) {
-  std::ofstream out(path);
-  out << "[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const RouterRecord& r = records[i];
-    out << "  {\"bench\": \"" << r.bench << "\", \"mode\": \"throughput\""
-        << ", \"n\": " << r.n << ", \"batch\": " << r.batch
-        << ", \"wall_seconds\": " << r.wall_seconds << ", \"qps\": " << r.qps
-        << ", \"rounds\": " << r.rounds << ", \"passes\": " << r.passes
-        << ", \"ratio_vs_off\": " << r.ratio_vs_off
-        << ", \"router_examined\": " << r.examined
-        << ", \"router_retired_seq\": " << r.retired_seq
-        << ", \"router_probed\": " << r.probed
-        << ", \"router_lower_bounded\": " << r.lower_bounded
-        << ", \"router_to_plan\": " << r.to_plan << "}"
-        << (i + 1 < records.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-  return written(out, path);
+  const bool shape_ok = ulam || !throughput
+                            ? rounds == 2
+                            : rounds == 2 * result.passes && result.passes >= 1;
+  if (!shape_ok) ++round_violations;
+  return ratio;
 }
 
 }  // namespace
@@ -415,27 +383,20 @@ bool write_router_json(const std::vector<RouterRecord>& records,
 int main(int argc, char** argv) {
   bool smoke = false;
   bool full = false;
-  std::string out_path = "BENCH_PR1.json";
-  std::string out2_path = "BENCH_PR3.json";
-  std::string out3_path = "BENCH_PR5.json";
-  std::string out4_path = "BENCH_PR6.json";
-  std::string out6_path = "BENCH_PR8.json";
-  std::string out7_path = "BENCH_PR10.json";
+  std::string out_path = "BENCH.json";
   std::string trace_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--full") == 0) full = true;
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[++i];
-    if (std::strcmp(argv[i], "--out2") == 0 && i + 1 < argc) out2_path = argv[++i];
-    if (std::strcmp(argv[i], "--out3") == 0 && i + 1 < argc) out3_path = argv[++i];
-    if (std::strcmp(argv[i], "--out4") == 0 && i + 1 < argc) out4_path = argv[++i];
-    if (std::strcmp(argv[i], "--out6") == 0 && i + 1 < argc) out6_path = argv[++i];
-    if (std::strcmp(argv[i], "--out7") == 0 && i + 1 < argc) out7_path = argv[++i];
     if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     }
   }
   if (smoke) full = false;
+  const Host host{isa_name(detected_isa()), isa_name(active_isa()),
+                  ThreadPool().worker_count(), MPCSD_BUILD_TYPE,
+                  smoke ? "smoke" : (full ? "full" : "default")};
   // Wall-clock ratio gates compare medians of 3 runs (see wall_median);
   // smoke keeps 1 rep — it never evaluates the ratio gates.
   const int wall_reps = smoke ? 1 : 3;
@@ -445,30 +406,38 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::int64_t>{64, 128}
             : std::vector<std::int64_t>{256, 512, 1024, 2000};
   std::vector<Record> records;
+  // Gate inputs, left missing (NaN) where this tier or host does not
+  // measure them.
+  double unit_speedup = kMissing;
+  double avx2_speedup = kMissing;
+  std::size_t round_violations = 0;
+  double edit_ratio = kMissing;
+  double ulam_ratio = kMissing;
+  double ulam_socket_overhead = kMissing;
+  double edit_socket_overhead = kMissing;
+  double router_ratio = kMissing;
 
   // ---- Unit-distance kernel: scalar full DP vs dispatched fast path. ----
   for (const std::int64_t n : kernel_sizes) {
     const auto a = core::random_string(n, 4, 1);
     const auto b = core::random_string(n, 4, 2);
-    std::int64_t d_scalar = 0;
-    std::int64_t d_fast = 0;
-    Record scalar{"edit_unit_scalar", n};
-    scalar.wall_seconds =
-        time_best([&] { d_scalar = seq::edit_distance(a, b); }, reps);
-    seq::edit_distance(a, b, &scalar.work);
-    records.push_back(scalar);
-
-    Record fast{"edit_unit_fast", n};
-    fast.wall_seconds =
-        time_best([&] { d_fast = seq::edit_distance_fast(a, b); }, reps);
-    seq::edit_distance_fast(a, b, &fast.work);
-    records.push_back(fast);
+    std::uint64_t scalar_work = 0;
+    std::uint64_t fast_work = 0;
+    const std::int64_t d_scalar = seq::edit_distance(a, b, &scalar_work);
+    const std::int64_t d_fast = seq::edit_distance_fast(a, b, &fast_work);
     if (d_scalar != d_fast) {
       std::fprintf(stderr, "FATAL: kernel disagreement at n=%lld: %lld vs %lld\n",
                    static_cast<long long>(n), static_cast<long long>(d_scalar),
                    static_cast<long long>(d_fast));
       return 1;
     }
+    const double scalar_wall = time_best([&] { (void)seq::edit_distance(a, b); }, reps);
+    const double fast_wall = time_best([&] { (void)seq::edit_distance_fast(a, b); }, reps);
+    records.push_back({"edit_unit_scalar", "seq_kernel", n, 0, "",
+                       {{"wall_seconds", scalar_wall, "s"}, {"work", scalar_work, "cells"}}});
+    records.push_back({"edit_unit_fast", "seq_kernel", n, 0, "",
+                       {{"wall_seconds", fast_wall, "s"}, {"work", fast_work, "cells"}}});
+    if (n == 2000) unit_speedup = scalar_wall / fast_wall;
   }
 
   // ---- Capped kernel on near pairs (the pipelines' censoring workhorse). ----
@@ -476,17 +445,24 @@ int main(int argc, char** argv) {
     const auto a = core::random_string(n, 4, 1);
     const auto b = core::plant_edits(a, std::max<std::int64_t>(4, n / 8), 3, false).text;
     const std::int64_t limit = n;
-    Record scalar{"edit_bounded_scalar", n};
-    scalar.wall_seconds = time_best(
+    std::uint64_t scalar_work = 0;
+    std::uint64_t fast_work = 0;
+    const auto d_scalar = seq::edit_distance_bounded(a, b, limit, &scalar_work);
+    const auto d_fast = seq::edit_distance_bounded_fast(a, b, limit, &fast_work);
+    if (d_scalar != d_fast) {
+      std::fprintf(stderr, "FATAL: capped kernel disagreement at n=%lld: %lld vs %lld\n",
+                   static_cast<long long>(n), static_cast<long long>(d_scalar.value_or(-1)),
+                   static_cast<long long>(d_fast.value_or(-1)));
+      return 1;
+    }
+    const double scalar_wall = time_best(
         [&] { (void)seq::edit_distance_bounded(a, b, limit); }, reps);
-    seq::edit_distance_bounded(a, b, limit, &scalar.work);
-    records.push_back(scalar);
-
-    Record fast{"edit_bounded_fast", n};
-    fast.wall_seconds = time_best(
+    const double fast_wall = time_best(
         [&] { (void)seq::edit_distance_bounded_fast(a, b, limit); }, reps);
-    seq::edit_distance_bounded_fast(a, b, limit, &fast.work);
-    records.push_back(fast);
+    records.push_back({"edit_bounded_scalar", "seq_kernel", n, 0, "",
+                       {{"wall_seconds", scalar_wall, "s"}, {"work", scalar_work, "cells"}}});
+    records.push_back({"edit_bounded_fast", "seq_kernel", n, 0, "",
+                       {{"wall_seconds", fast_wall, "s"}, {"work", fast_work, "cells"}}});
   }
 
   // ---- Combine-inbox routing: concatenate-and-copy vs zero-copy chain. ----
@@ -522,26 +498,25 @@ int main(int argc, char** argv) {
         static_cast<std::int64_t>(machines * tuples_per_machine);
 
     std::size_t parsed = 0;
-    Record copy{"ulam_combine_copy", total_tuples};
-    copy.wall_seconds = time_best(
+    const double copy_wall = time_best(
         [&] {
           // seed semantics: memcpy every payload into one flat buffer
           const Bytes inbox = mpc::gather_view(mail, kInbox.mailbox).to_bytes();
           parsed = seq::read_all_tuples(inbox).size();
         },
         reps);
-    copy.bytes_moved = mpc::gather_view(mail, kInbox.mailbox).to_bytes().size();
-    records.push_back(copy);
+    const std::size_t copied = mpc::gather_view(mail, kInbox.mailbox).to_bytes().size();
+    records.push_back({"ulam_combine_copy", "round_plane", total_tuples, 0, "",
+                       {{"wall_seconds", copy_wall, "s"}, {"bytes_moved", copied, "bytes"}}});
 
-    Record view{"ulam_combine_view", total_tuples};
-    view.wall_seconds = time_best(
+    const double view_wall = time_best(
         [&] {
           const ByteChain inbox = mpc::gather_view(mail, kInbox.mailbox);
           parsed = seq::read_all_tuples(inbox).size();
         },
         reps);
-    view.bytes_moved = 0;
-    records.push_back(view);
+    records.push_back({"ulam_combine_view", "round_plane", total_tuples, 0, "",
+                       {{"wall_seconds", view_wall, "s"}, {"bytes_moved", 0, "bytes"}}});
     if (parsed != machines * tuples_per_machine) {
       std::fprintf(stderr, "FATAL: combine inbox parsed %zu tuples, expected %zu\n",
                    parsed, machines * tuples_per_machine);
@@ -550,6 +525,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- End-to-end Theorem 4 solve. ----
+  // The answer must be a realizable transformation's cost (>= the exact
+  // Ulam distance) within the (1 + eps) guarantee, checked before timing.
   {
     const std::int64_t n = smoke ? 256 : 4096;
     const auto s = core::random_permutation(n, 11);
@@ -557,22 +534,30 @@ int main(int argc, char** argv) {
     ulam_mpc::UlamMpcParams params;
     params.seed = 13;
     params.recorder = &bench_recorder;
-    Record e2e{"ulam_e2e", n};
-    ulam_mpc::UlamMpcResult result;
-    e2e.wall_seconds = time_best(
+    const std::int64_t exact = seq::ulam_distance(s, t);
+    ulam_mpc::UlamMpcResult result = ulam_mpc::ulam_distance_mpc(s, SymView(t), params);
+    if (result.distance < exact ||
+        static_cast<double>(result.distance) >
+            (1.0 + params.epsilon) * static_cast<double>(exact)) {
+      std::fprintf(stderr, "FATAL: ulam_e2e distance %lld outside [%lld, (1+%g)*%lld]\n",
+                   static_cast<long long>(result.distance), static_cast<long long>(exact),
+                   params.epsilon, static_cast<long long>(exact));
+      return 1;
+    }
+    const double wall = time_best(
         [&] { result = ulam_mpc::ulam_distance_mpc(s, SymView(t), params); },
         smoke ? 1 : 3);
-    e2e.work = result.trace.total_work();
-    e2e.bytes_moved = result.trace.total_comm_bytes();
-    records.push_back(e2e);
+    records.push_back({"ulam_e2e", "solver", n, 0, "",
+                       {{"wall_seconds", wall, "s"},
+                        {"work", result.trace.total_work(), "ops"},
+                        {"bytes_moved", result.trace.total_comm_bytes(), "bytes"}}});
   }
 
-  // ---- BENCH_PR6: Myers kernel throughput per ISA level. ----
+  // ---- Myers kernel throughput per ISA level. ----
   // The same (pattern, text) pair runs through the blocked kernel forced to
   // every level the host supports; distances and work meters must agree
   // bit for bit (ISA dispatch is results- and metering-invisible), only
   // wall time may differ.
-  std::vector<Record> isa_records;
   {
     const std::vector<std::int64_t> isa_sizes =
         smoke ? std::vector<std::int64_t>{128}
@@ -601,26 +586,27 @@ int main(int argc, char** argv) {
         const Isa level = levels[i];
         const std::int64_t d = ds[i];
         force_isa(level);  // for the metered call below
-        Record r{std::string("myers_") + isa_name(level), n};
-        r.wall_seconds = walls[i];
-        seq::edit_distance_myers(a, b, &r.work);
-        isa_records.push_back(r);
-        if (d != d_ref || r.work != work_ref) {
+        std::uint64_t work = 0;
+        seq::edit_distance_myers(a, b, &work);
+        if (d != d_ref || work != work_ref) {
           std::fprintf(stderr,
                        "FATAL: %s kernel diverged at n=%lld: d=%lld/%lld "
                        "work=%llu/%llu\n",
                        isa_name(level), static_cast<long long>(n),
                        static_cast<long long>(d), static_cast<long long>(d_ref),
-                       static_cast<unsigned long long>(r.work),
+                       static_cast<unsigned long long>(work),
                        static_cast<unsigned long long>(work_ref));
           return 1;
         }
+        records.push_back({std::string("myers_") + isa_name(level), "seq_kernel", n, 0, "",
+                           {{"wall_seconds", walls[i], "s"}, {"work", work, "cells"}}});
+        if (n == 2000 && level == Isa::kAvx2) avx2_speedup = walls[0] / walls[i];
       }
     }
     force_isa(detected_isa());
   }
 
-  // ---- BENCH_PR6: mail routing, stable_sort baseline vs radix scatter. ----
+  // ---- Mail routing, stable_sort baseline vs radix scatter. ----
   // One round whose machines emit a skewed burst of small envelopes; the
   // baseline is what routing used to be (flat move + one global
   // std::stable_sort of the merged mail), re-verified byte-identical to
@@ -648,12 +634,13 @@ int main(int argc, char** argv) {
     cfg.seed = 31;
     mpc::Cluster cluster(cfg);
     mpc::Mail mail;
-    Record radix{"mail_route_radix", total};
-    radix.wall_seconds = time_best(
+    const double radix_wall = time_best(
         [&] { mail = cluster.run_round("bench:route", inputs, fill); }, reps);
-    radix.work = mail.message_count();
-    radix.bytes_moved = cluster.trace().rounds().back().total_comm_bytes;
-    isa_records.push_back(radix);
+    const std::uint64_t routed_bytes = cluster.trace().rounds().back().total_comm_bytes;
+    records.push_back({"mail_route_radix", "round_plane", total, 0, "",
+                       {{"wall_seconds", radix_wall, "s"},
+                        {"work", mail.message_count(), "messages"},
+                        {"bytes_moved", routed_bytes, "bytes"}}});
 
     // Baseline: the envelopes in emission order, then one global sort.
     // Emission order is reconstructed from the (machine id, emission index)
@@ -675,8 +662,7 @@ int main(int argc, char** argv) {
                 return emission_key(x) < emission_key(y);
               });
     std::vector<mpc::Envelope> sorted;
-    Record stable{"mail_route_stable", total};
-    stable.wall_seconds = time_best(
+    const double stable_wall = time_best(
         [&] {
           sorted.clear();
           for (const mpc::Envelope& env : flat) {
@@ -688,9 +674,10 @@ int main(int argc, char** argv) {
                            });
         },
         reps);
-    stable.work = sorted.size();
-    stable.bytes_moved = radix.bytes_moved;
-    isa_records.push_back(stable);
+    records.push_back({"mail_route_stable", "round_plane", total, 0, "",
+                       {{"wall_seconds", stable_wall, "s"},
+                        {"work", sorted.size(), "messages"},
+                        {"bytes_moved", routed_bytes, "bytes"}}});
 
     // Byte-identical check: the global stable sort of the emission-order
     // envelopes must reproduce exactly what the radix router produced.
@@ -708,10 +695,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Batch throughput (BENCH_PR3): distance_batch vs sequential. ----
-  const std::size_t workers = ThreadPool().worker_count();
-  std::vector<BatchRecord> batch_records;
-  bool rounds_ok = true;
+  // ---- Batch throughput: distance_batch vs sequential. ----
   const std::int64_t ulam_n = smoke ? 256 : (full ? 4096 : 2048);
   const std::int64_t edit_n = smoke ? 128 : 1024;
   // The kParallelGuess mode runs the whole clipped ladder for every query;
@@ -724,44 +708,38 @@ int main(int argc, char** argv) {
     if (full) ulam_batches.push_back(64);
     for (const std::size_t b : ulam_batches) {
       const double seq_qps =
-          bench_seq_point(batch_records, /*ulam=*/true, ulam_n, b, wall_reps);
-      rounds_ok = bench_batch_point(batch_records, /*ulam=*/true,
-                                    core::BatchMode::kThroughput, ulam_n, b,
-                                    seq_qps, wall_reps) &&
-                  rounds_ok;
+          bench_seq_point(records, /*ulam=*/true, ulam_n, b, wall_reps);
+      const double ratio =
+          bench_batch_point(records, /*ulam=*/true, core::BatchMode::kThroughput, ulam_n,
+                            b, seq_qps, wall_reps, round_violations);
+      if (b == max_b) ulam_ratio = ratio;
     }
+    double edit_seq_qps = 0.0;  // at B = max_b
     for (const std::size_t b : {std::size_t{1}, max_b}) {
       const double seq_qps =
-          bench_seq_point(batch_records, /*ulam=*/false, edit_n, b, wall_reps);
-      rounds_ok = bench_batch_point(batch_records, /*ulam=*/false,
-                                    core::BatchMode::kThroughput, edit_n, b,
-                                    seq_qps, wall_reps) &&
-                  rounds_ok;
-    }
-    // The paper-literal mode, for the record (and the smoke round gate).
-    double parallel_seq_qps = 0.0;
-    if (edit_parallel_n == edit_n) {
-      for (const BatchRecord& r : batch_records) {
-        if (r.bench == "edit_seq" && r.n == edit_n && r.batch == max_b) {
-          parallel_seq_qps = r.qps;
-        }
+          bench_seq_point(records, /*ulam=*/false, edit_n, b, wall_reps);
+      const double ratio =
+          bench_batch_point(records, /*ulam=*/false, core::BatchMode::kThroughput, edit_n,
+                            b, seq_qps, wall_reps, round_violations);
+      if (b == max_b) {
+        edit_seq_qps = seq_qps;
+        edit_ratio = ratio;
       }
-    } else {
-      parallel_seq_qps = bench_seq_point(batch_records, /*ulam=*/false,
-                                         edit_parallel_n, max_b, wall_reps);
     }
-    rounds_ok =
-        bench_batch_point(batch_records, /*ulam=*/false,
-                          core::BatchMode::kParallelGuess, edit_parallel_n,
-                          max_b, parallel_seq_qps, wall_reps) &&
-        rounds_ok;
+    // The paper-literal mode, for the record (and the round-shape gate).
+    const double parallel_seq_qps =
+        edit_parallel_n == edit_n
+            ? edit_seq_qps
+            : bench_seq_point(records, /*ulam=*/false, edit_parallel_n, max_b, wall_reps);
+    (void)bench_batch_point(records, /*ulam=*/false, core::BatchMode::kParallelGuess,
+                            edit_parallel_n, max_b, parallel_seq_qps, wall_reps,
+                            round_violations);
   }
 
-  // ---- BENCH_PR10: execution backends, thread pool vs socket workers. ----
+  // ---- Execution backends, thread pool vs socket workers. ----
   // The same batch workload per algorithm on both backends.  Everything
   // metered must agree bit for bit (checked here); only wall clock may
-  // move, and the gate below caps how far.
-  std::vector<Record> socket_records;
+  // move, and a gate caps how far.
   {
     const std::int64_t backend_n = smoke ? 128 : 2000;
     const std::size_t backend_b = smoke ? 2 : 4;
@@ -772,6 +750,7 @@ int main(int argc, char** argv) {
         request.algorithm =
             ulam ? core::BatchAlgorithm::kUlam : core::BatchAlgorithm::kEdit;
         request.mode = core::BatchMode::kThroughput;
+        request.router = core::RouterPolicy::kOff;
         request.ulam.seed = 13;
         request.ulam.backend = backend;
         request.edit.backend = backend;
@@ -779,47 +758,47 @@ int main(int argc, char** argv) {
         request.queries = queries;
         return core::distance_batch(request);
       };
-      const char* algo = ulam ? "ulam" : "edit";
+      const std::string algo = ulam ? "ulam" : "edit";
       core::BatchResult threaded;
-      Record thread_rec{std::string(algo) + "_batch_backend_thread", backend_n};
-      thread_rec.wall_seconds = wall_median(
+      const double thread_wall = wall_median(
           [&] { threaded = solve(mpc::BackendKind::kThread); }, wall_reps);
-      thread_rec.work = threaded.trace.total_work();
-      thread_rec.bytes_moved = threaded.trace.total_comm_bytes();
-
       core::BatchResult socketed;
-      Record socket_rec{std::string(algo) + "_batch_backend_socket",
-                        backend_n};
-      socket_rec.wall_seconds = wall_median(
+      const double socket_wall = wall_median(
           [&] { socketed = solve(mpc::BackendKind::kSocket); }, wall_reps);
-      socket_rec.work = socketed.trace.total_work();
-      socket_rec.bytes_moved = socketed.trace.total_comm_bytes();
-      socket_records.push_back(thread_rec);
-      socket_records.push_back(socket_rec);
+      const auto record = [&](const char* backend, double wall,
+                              const core::BatchResult& result) {
+        records.push_back({algo + "_batch_backend_" + backend, "transport", backend_n,
+                           backend_b, "throughput",
+                           {{"wall_seconds", wall, "s"},
+                            {"work", result.trace.total_work(), "ops"},
+                            {"bytes_moved", result.trace.total_comm_bytes(), "bytes"}}});
+      };
+      record("thread", thread_wall, threaded);
+      record("socket", socket_wall, socketed);
+      (ulam ? ulam_socket_overhead : edit_socket_overhead) = socket_wall / thread_wall;
 
       if (socketed.trace.structural_hash() !=
           threaded.trace.structural_hash()) {
         std::fprintf(stderr,
                      "FATAL: %s batch trace hash differs across backends\n",
-                     algo);
+                     algo.c_str());
         return 1;
       }
       for (std::size_t q = 0; q < queries.size(); ++q) {
         if (socketed.queries[q].distance != threaded.queries[q].distance) {
           std::fprintf(stderr,
                        "FATAL: %s query %zu distance differs across backends\n",
-                       algo, q);
+                       algo.c_str(), q);
           return 1;
         }
       }
     }
   }
 
-  // ---- BENCH_PR8: router off vs auto on a skewed near-duplicate batch. ----
+  // ---- Router off vs auto on a skewed near-duplicate batch. ----
   // Three quarters of the pairs sit within edit distance 8 (including exact
   // duplicates); the tail is ~n/8 edits away.  Both runs pin an explicit
   // policy — the MPCSD_ROUTER env never reaches an explicit request.
-  std::vector<RouterRecord> router_records;
   {
     const std::int64_t router_n = smoke ? 128 : 2000;
     const std::size_t router_b = smoke ? 4 : 32;
@@ -845,33 +824,25 @@ int main(int argc, char** argv) {
     };
 
     core::BatchResult off_result;
-    RouterRecord off;
-    off.bench = "edit_router_off";
-    off.n = router_n;
-    off.batch = router_b;
-    off.wall_seconds = wall_median(
+    const double off_wall = wall_median(
         [&] { off_result = solve(core::RouterPolicy::kOff, &bench_recorder); },
         wall_reps);
-    off.qps = double(router_b) / off.wall_seconds;
-    off.rounds = off_result.trace.round_count();
-    off.passes = off_result.passes;
-    off.ratio_vs_off = 1.0;
-    router_records.push_back(off);
+    const double off_qps = static_cast<double>(router_b) / off_wall;
+    records.push_back({"edit_router_off", "batch", router_n, router_b, "throughput",
+                       {{"wall_seconds", off_wall, "s"},
+                        {"qps", off_qps, "1/s"},
+                        {"rounds", off_result.trace.round_count(), "count"},
+                        {"passes", off_result.passes, "count"},
+                        {"ratio_vs_off", 1.0, "ratio"}}});
 
     core::BatchResult routed_result;
-    RouterRecord routed;
-    routed.bench = "edit_router_auto";
-    routed.n = router_n;
-    routed.batch = router_b;
-    routed.wall_seconds = wall_median(
+    const double routed_wall = wall_median(
         [&] {
           routed_result = solve(core::RouterPolicy::kAuto, &bench_recorder);
         },
         wall_reps);
-    routed.qps = double(router_b) / routed.wall_seconds;
-    routed.rounds = routed_result.trace.round_count();
-    routed.passes = routed_result.passes;
-    routed.ratio_vs_off = routed.qps / off.qps;
+    const double routed_qps = static_cast<double>(router_b) / routed_wall;
+    router_ratio = routed_qps / off_qps;
 
     // The ladder certifies a (1 + eps) upper bound; a retired query answers
     // exactly.  Routing may therefore only improve an answer, never worsen
@@ -905,142 +876,73 @@ int main(int argc, char** argv) {
                  ? 0
                  : static_cast<std::uint64_t>(it->second.last);
     };
-    routed.examined = decision_count("router.examined");
-    routed.retired_seq = decision_count("router.retired_seq");
-    routed.probed = decision_count("router.probed");
-    routed.lower_bounded = decision_count("router.lower_bounded");
-    routed.to_plan = decision_count("router.to_plan");
+    const std::uint64_t examined = decision_count("router.examined");
+    const std::uint64_t retired_seq = decision_count("router.retired_seq");
+    const std::uint64_t to_plan = decision_count("router.to_plan");
     // Degenerate pairs (equal / empty strings) resolve before the router,
     // so `examined` counts the rest — and every examined query must either
     // retire or go to the plan.
-    if (routed.examined > router_b ||
-        routed.retired_seq + routed.to_plan != routed.examined) {
+    if (examined > router_b || retired_seq + to_plan != examined) {
       std::fprintf(stderr,
                    "FATAL: router decision counts inconsistent: examined=%llu "
                    "retired=%llu to_plan=%llu (B=%zu)\n",
-                   static_cast<unsigned long long>(routed.examined),
-                   static_cast<unsigned long long>(routed.retired_seq),
-                   static_cast<unsigned long long>(routed.to_plan), router_b);
+                   static_cast<unsigned long long>(examined),
+                   static_cast<unsigned long long>(retired_seq),
+                   static_cast<unsigned long long>(to_plan), router_b);
       return 1;
     }
-    router_records.push_back(routed);
+    records.push_back({"edit_router_auto", "batch", router_n, router_b, "throughput",
+                       {{"wall_seconds", routed_wall, "s"},
+                        {"qps", routed_qps, "1/s"},
+                        {"rounds", routed_result.trace.round_count(), "count"},
+                        {"passes", routed_result.passes, "count"},
+                        {"ratio_vs_off", router_ratio, "ratio"},
+                        {"router_examined", examined, "count"},
+                        {"router_retired_seq", retired_seq, "count"},
+                        {"router_probed", decision_count("router.probed"), "count"},
+                        {"router_lower_bounded", decision_count("router.lower_bounded"),
+                         "count"},
+                        {"router_to_plan", to_plan, "count"}}});
   }
 
-  // Every file is attempted, so each unwritable path is reported.
-  bool all_written = write_json(records, out_path);
-  all_written = write_batch_json(batch_records, out2_path) && all_written;
-  all_written = write_json(isa_records, out4_path) && all_written;
-  all_written = write_json(socket_records, out7_path) && all_written;
-  all_written = write_router_json(router_records, out6_path) && all_written;
-  if (!all_written) return 1;
-  std::printf("perf_suite: %zu records -> %s\n", records.size(), out_path.c_str());
-  for (const Record& r : records) {
-    std::printf("  %-22s n=%-8lld wall=%.6fs work=%llu bytes_moved=%llu\n",
-                r.bench.c_str(), static_cast<long long>(r.n), r.wall_seconds,
-                static_cast<unsigned long long>(r.work),
-                static_cast<unsigned long long>(r.bytes_moved));
-  }
-  std::printf("perf_suite: %zu ISA/routing records -> %s (detected: %s)\n",
-              isa_records.size(), out4_path.c_str(), isa_name(detected_isa()));
-  for (const Record& r : isa_records) {
-    std::printf("  %-22s n=%-8lld wall=%.6fs work=%llu bytes_moved=%llu\n",
-                r.bench.c_str(), static_cast<long long>(r.n), r.wall_seconds,
-                static_cast<unsigned long long>(r.work),
-                static_cast<unsigned long long>(r.bytes_moved));
-  }
-  std::printf("perf_suite: %zu backend records -> %s\n",
-              socket_records.size(), out7_path.c_str());
-  for (const Record& r : socket_records) {
-    std::printf("  %-28s n=%-8lld wall=%.6fs work=%llu bytes_moved=%llu\n",
-                r.bench.c_str(), static_cast<long long>(r.n), r.wall_seconds,
-                static_cast<unsigned long long>(r.work),
-                static_cast<unsigned long long>(r.bytes_moved));
-  }
-  std::printf("perf_suite: %zu batch records -> %s (workers=%zu)\n",
-              batch_records.size(), out2_path.c_str(), workers);
-  for (const BatchRecord& r : batch_records) {
-    std::printf(
-        "  %-12s %-10s n=%-6lld B=%-3zu wall=%.4fs qps=%.2f rounds=%zu "
-        "passes=%zu ratio=%.2f\n",
-        r.bench.c_str(), r.mode.c_str(), static_cast<long long>(r.n), r.batch,
-        r.wall_seconds, r.qps, r.rounds, r.passes, r.ratio_vs_seq);
-  }
-  std::printf("perf_suite: %zu router records -> %s\n", router_records.size(),
-              out6_path.c_str());
-  for (const RouterRecord& r : router_records) {
-    std::printf(
-        "  %-18s n=%-6lld B=%-3zu wall=%.4fs qps=%.2f passes=%zu "
-        "ratio=%.2f retired=%llu probed=%llu lower_bounded=%llu to_plan=%llu\n",
-        r.bench.c_str(), static_cast<long long>(r.n), r.batch, r.wall_seconds,
-        r.qps, r.passes, r.ratio_vs_off,
-        static_cast<unsigned long long>(r.retired_seq),
-        static_cast<unsigned long long>(r.probed),
-        static_cast<unsigned long long>(r.lower_bounded),
-        static_cast<unsigned long long>(r.to_plan));
+  // ---- Gates: every one is evaluated and reported before the exit. ----
+  // The timing ratios need default-tier sizes, so smoke skips them; the
+  // round shape is a model quantity and holds in every tier.
+  const auto skip = [&](bool applies, const char* reason) -> std::string {
+    if (smoke) return "smoke tier: sizes too small to time";
+    return applies ? "" : reason;
+  };
+  const std::vector<Gate> gates = {
+      gate("round_shape", static_cast<double>(round_violations), "==", 0.0, ""),
+      gate("edit_unit_fast_vs_scalar", unit_speedup, ">=", 3.0, skip(true, "")),
+      gate("myers_avx2_vs_scalar", avx2_speedup, ">=", 2.0,
+           skip(detected_isa() >= Isa::kAvx2, "host has no AVX2")),
+      gate("edit_batch_vs_seq", edit_ratio, ">=", 0.5, skip(true, "")),
+      gate("edit_batch_vs_seq_multiworker", edit_ratio, ">=", 1.0,
+           skip(host.workers > 1, "one simulator worker")),
+      gate("ulam_batch_vs_seq_multiworker", ulam_ratio, ">=", 1.0,
+           skip(host.workers > 1, "one simulator worker")),
+      gate("ulam_batch_vs_seq_4workers", ulam_ratio, ">=", 1.5,
+           skip(host.workers >= 4, "fewer than 4 simulator workers")),
+      gate("ulam_socket_vs_thread", ulam_socket_overhead, "<=", 2.0, skip(true, "")),
+      gate("edit_socket_vs_thread", edit_socket_overhead, "<=", 2.0, skip(true, "")),
+      gate("router_auto_vs_off", router_ratio, ">=", 3.0, skip(true, "")),
+  };
+
+  print_results(host, records, gates);
+  if (!write_results(out_path, host, records, gates)) return 1;
+  std::printf("perf_suite: %zu records, %zu gates -> %s\n", records.size(), gates.size(),
+              out_path.c_str());
+  if (smoke && !results_file_ok(out_path, records.size(), gates.size())) {
+    std::fprintf(stderr, "FAIL: %s is not a well-formed results file\n", out_path.c_str());
+    return 1;
   }
 
-  // ---- BENCH_PR5: the benchmark numbers through the aggregate sink. ----
-  // Sinks attach only now, after every gated measurement: each record
-  // re-emits as one uniquely named span, then one small traced batch run
-  // adds real round/stage/pass/query events so the optional Chrome
-  // artifact (--trace-out) is a faithful end-to-end trace.
-  const auto aggregate = std::make_shared<obs::AggregateSink>();
-  bench_recorder.add_sink(aggregate);
-  std::shared_ptr<obs::ChromeTraceSink> chrome;
+  // One small traced batch run with a Chrome sink attached, after every
+  // measurement: real round/stage/pass/query events end to end.
   if (!trace_path.empty()) {
-    chrome = std::make_shared<obs::ChromeTraceSink>();
+    const auto chrome = std::make_shared<obs::ChromeTraceSink>();
     bench_recorder.add_sink(chrome);
-  }
-  for (const Record& r : records) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kSpan;
-    ev.name = "bench:" + r.bench + ":n=" + std::to_string(r.n);
-    ev.category = "bench";
-    ev.ts_us = bench_recorder.now_us();
-    ev.dur_us = static_cast<std::uint64_t>(r.wall_seconds * 1e6);
-    ev.args = {{"n", static_cast<double>(r.n)},
-               {"wall_seconds", r.wall_seconds},
-               {"work", static_cast<double>(r.work)},
-               {"bytes_moved", static_cast<double>(r.bytes_moved)}};
-    bench_recorder.emit(std::move(ev));
-  }
-  for (const BatchRecord& r : batch_records) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kSpan;
-    ev.name = "bench:" + r.bench + ":" + r.mode + ":n=" + std::to_string(r.n) +
-              ":B=" + std::to_string(r.batch);
-    ev.category = "bench";
-    ev.ts_us = bench_recorder.now_us();
-    ev.dur_us = static_cast<std::uint64_t>(r.wall_seconds * 1e6);
-    ev.args = {{"n", static_cast<double>(r.n)},
-               {"batch", static_cast<double>(r.batch)},
-               {"wall_seconds", r.wall_seconds},
-               {"qps", r.qps},
-               {"rounds", static_cast<double>(r.rounds)},
-               {"passes", static_cast<double>(r.passes)},
-               {"ratio_vs_seq", r.ratio_vs_seq}};
-    bench_recorder.emit(std::move(ev));
-  }
-  for (const RouterRecord& r : router_records) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kSpan;
-    ev.name = "bench:" + r.bench + ":n=" + std::to_string(r.n) +
-              ":B=" + std::to_string(r.batch);
-    ev.category = "bench";
-    ev.ts_us = bench_recorder.now_us();
-    ev.dur_us = static_cast<std::uint64_t>(r.wall_seconds * 1e6);
-    ev.args = {{"n", static_cast<double>(r.n)},
-               {"batch", static_cast<double>(r.batch)},
-               {"wall_seconds", r.wall_seconds},
-               {"qps", r.qps},
-               {"passes", static_cast<double>(r.passes)},
-               {"ratio_vs_off", r.ratio_vs_off},
-               {"router_retired_seq", static_cast<double>(r.retired_seq)},
-               {"router_probed", static_cast<double>(r.probed)},
-               {"router_to_plan", static_cast<double>(r.to_plan)}};
-    bench_recorder.emit(std::move(ev));
-  }
-  {
     core::BatchRequest request;
     request.algorithm = core::BatchAlgorithm::kUlam;
     request.mode = core::BatchMode::kThroughput;
@@ -1048,172 +950,22 @@ int main(int argc, char** argv) {
     request.recorder = &bench_recorder;
     request.queries = make_batch_queries(2, 128, /*ulam=*/true);
     (void)core::distance_batch(request);
-  }
-  bench_recorder.flush();
-  if (!aggregate->write_file(out3_path)) {
-    std::fprintf(stderr, "FAIL: cannot write %s\n", out3_path.c_str());
-    return 1;
-  }
-  std::printf("perf_suite: %zu spans + %zu counters -> %s\n",
-              aggregate->spans().size(), aggregate->counters().size(),
-              out3_path.c_str());
-  if (chrome != nullptr) {
-    if (!chrome->write_file(trace_path)) {
-      std::fprintf(stderr, "FAIL: cannot write %s\n", trace_path.c_str());
+    bench_recorder.flush();
+    if (!chrome->write_file(trace_path) || chrome->event_count() == 0) {
+      std::fprintf(stderr, "FAIL: cannot write a non-empty trace to %s\n",
+                   trace_path.c_str());
       return 1;
     }
     std::printf("perf_suite: %zu trace events -> %s\n", chrome->event_count(),
                 trace_path.c_str());
   }
 
-  if (!rounds_ok) {
-    std::fprintf(stderr, "FAIL: a batch execution used extra simulator rounds\n");
+  const auto failed = std::count_if(gates.begin(), gates.end(),
+                                    [](const Gate& g) { return g.status == "fail"; });
+  if (failed > 0) {
+    std::fprintf(stderr, "FAIL: %lld of %zu gates failed\n", static_cast<long long>(failed),
+                 gates.size());
     return 1;
-  }
-
-  if (smoke) {
-    if (!json_well_formed(out_path, records.size())) {
-      std::fprintf(stderr, "FAIL: %s is not well-formed JSON\n", out_path.c_str());
-      return 1;
-    }
-    if (!json_well_formed(out2_path, batch_records.size())) {
-      std::fprintf(stderr, "FAIL: %s is not well-formed JSON\n", out2_path.c_str());
-      return 1;
-    }
-    if (!json_well_formed(out4_path, isa_records.size())) {
-      std::fprintf(stderr, "FAIL: %s is not well-formed JSON\n", out4_path.c_str());
-      return 1;
-    }
-    if (!json_well_formed(out6_path, router_records.size())) {
-      std::fprintf(stderr, "FAIL: %s is not well-formed JSON\n", out6_path.c_str());
-      return 1;
-    }
-    if (!json_well_formed(out7_path, socket_records.size())) {
-      std::fprintf(stderr, "FAIL: %s is not well-formed JSON\n", out7_path.c_str());
-      return 1;
-    }
-    // The aggregate must have seen every re-emitted record plus the traced
-    // batch run's round/stage/pass spans.
-    if (aggregate->spans().size() < records.size() + batch_records.size()) {
-      std::fprintf(stderr, "FAIL: aggregate sink missing spans (%zu < %zu)\n",
-                   aggregate->spans().size(),
-                   records.size() + batch_records.size());
-      return 1;
-    }
-    std::printf("smoke: JSON well-formed (%zu + %zu records), rounds gate held\n",
-                records.size(), batch_records.size());
-    return 0;
-  }
-
-  const double scalar_wall = record_wall(records, "edit_unit_scalar", 2000);
-  const double fast_wall = record_wall(records, "edit_unit_fast", 2000);
-  const double speedup = scalar_wall / fast_wall;
-  std::printf("unit-distance speedup at n=2000: %.2fx (gate: >= 3x)\n", speedup);
-  if (!(speedup >= 3.0)) {
-    std::fprintf(stderr, "FAIL: unit-distance speedup %.2fx < 3x\n", speedup);
-    return 1;
-  }
-
-  // ---- BENCH_PR6 kernel ISA gate: AVX2 must double scalar at n=2000. ----
-  if (detected_isa() >= Isa::kAvx2) {
-    const double myers_scalar = record_wall(isa_records, "myers_scalar", 2000);
-    const double myers_avx2 = record_wall(isa_records, "myers_avx2", 2000);
-    const double isa_speedup = myers_scalar / myers_avx2;
-    std::printf("myers AVX2 speedup at n=2000: %.2fx (gate: >= 2x)\n",
-                isa_speedup);
-    if (!(isa_speedup >= 2.0)) {
-      std::fprintf(stderr, "FAIL: AVX2 kernel speedup %.2fx < 2x\n", isa_speedup);
-      return 1;
-    }
-    if (detected_isa() >= Isa::kAvx512) {
-      const double myers_avx512 = record_wall(isa_records, "myers_avx512", 2000);
-      std::printf("myers AVX-512 speedup at n=2000: %.2fx (recorded)\n",
-                  myers_scalar / myers_avx512);
-    }
-  } else {
-    std::printf("scalar-only host: ISA kernel gate skipped\n");
-  }
-
-  // ---- Batch throughput ratio gates (largest default-tier B). ----
-  const double edit_ratio =
-      batch_ratio(batch_records, "edit_batch", "throughput", edit_n, max_b);
-  const double ulam_ratio =
-      batch_ratio(batch_records, "ulam_batch", "throughput", ulam_n, max_b);
-
-  // Escalation is a work reduction (skips the rungs past the accepted
-  // guess), so edit throughput must stay within 2x of the sequential
-  // early-exit solver even on a single worker.  Hard gate on every host.
-  std::printf("edit_batch throughput ratio at n=%lld B=%zu: %.2fx (gate: >= 0.5x)\n",
-              static_cast<long long>(edit_n), max_b, edit_ratio);
-  if (!(edit_ratio >= 0.5)) {
-    std::fprintf(stderr, "FAIL: edit_batch qps %.2fx sequential < 0.5x\n",
-                 edit_ratio);
-    return 1;
-  }
-
-  // On a multi-worker host the shared rounds expose cross-query
-  // parallelism, so batching must not lose to sequential for either
-  // algorithm, and Ulam (fixed 2-round pipeline, pure batching win) must
-  // clear 1.5x once >= 4 workers are available.
-  if (workers > 1) {
-    std::printf("ratio gates (workers=%zu): edit %.2fx, ulam %.2fx (>= 1x)\n",
-                workers, edit_ratio, ulam_ratio);
-    if (!(edit_ratio >= 1.0) || !(ulam_ratio >= 1.0)) {
-      std::fprintf(stderr,
-                   "FAIL: batch below sequential qps (edit %.2fx, ulam %.2fx)\n",
-                   edit_ratio, ulam_ratio);
-      return 1;
-    }
-  } else {
-    std::printf("single-worker simulator: multi-worker ratio gates skipped\n");
-  }
-  if (workers >= 4) {
-    std::printf("ulam_batch ratio at B=%zu: %.2fx (gate: >= 1.5x)\n", max_b,
-                ulam_ratio);
-    if (!(ulam_ratio >= 1.5)) {
-      std::fprintf(stderr, "FAIL: ulam_batch qps %.2fx sequential < 1.5x\n",
-                   ulam_ratio);
-      return 1;
-    }
-  }
-
-  // ---- BENCH_PR10 socket gate: socket round overhead stays bounded. ----
-  // Each socket round pays fork + socketpair + framed result streaming;
-  // on real batch workloads at n=2000 that must stay within 2x of the
-  // thread backend, or the isolation win has priced itself out of use.
-  for (const char* algo : {"ulam", "edit"}) {
-    const double thread_wall = record_wall(
-        socket_records, std::string(algo) + "_batch_backend_thread", 2000);
-    const double socket_wall = record_wall(
-        socket_records, std::string(algo) + "_batch_backend_socket", 2000);
-    const double overhead = socket_wall / thread_wall;
-    std::printf("%s socket-backend overhead at n=2000: %.2fx (gate: <= 2x)\n",
-                algo, overhead);
-    if (!(overhead <= 2.0)) {
-      std::fprintf(stderr,
-                   "FAIL: %s socket backend %.2fx thread backend > 2x\n", algo,
-                   overhead);
-      return 1;
-    }
-  }
-
-  // ---- BENCH_PR8 router gate: >= 3x qps on the skewed batch. ----
-  // Most of the batch retires before pass 1 (near-duplicate probes are
-  // O(n + k*n/w) work), so the router must beat the full escalation ladder
-  // by a wide margin or its cost model is mispriced.
-  {
-    double router_ratio = 0.0;
-    for (const RouterRecord& r : router_records) {
-      if (r.bench == "edit_router_auto") router_ratio = r.ratio_vs_off;
-    }
-    std::printf("router-auto qps on skewed batch (n=2000, B=32): %.2fx "
-                "router-off (gate: >= 3x)\n",
-                router_ratio);
-    if (!(router_ratio >= 3.0)) {
-      std::fprintf(stderr, "FAIL: router-auto qps %.2fx router-off < 3x\n",
-                   router_ratio);
-      return 1;
-    }
   }
   return 0;
 }

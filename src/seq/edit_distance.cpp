@@ -125,13 +125,4 @@ std::optional<std::int64_t> edit_distance_bounded(SymView a, SymView b,
   }
 }
 
-std::int64_t edit_distance_doubling(SymView a, SymView b, std::uint64_t* work) {
-  const auto limit =
-      static_cast<std::int64_t>(std::max(a.size(), b.size()));
-  if (limit == 0) return 0;
-  const auto d = edit_distance_bounded(a, b, limit, work);
-  MPCSD_ENSURES(d.has_value());
-  return *d;
-}
-
 }  // namespace mpcsd::seq

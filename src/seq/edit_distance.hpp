@@ -31,8 +31,4 @@ std::optional<std::int64_t> edit_distance_bounded(SymView a, SymView b,
                                                   std::int64_t limit,
                                                   std::uint64_t* work = nullptr);
 
-/// Exact distance via band doubling with no cap: O((|a|+|b|)·d).
-std::int64_t edit_distance_doubling(SymView a, SymView b,
-                                    std::uint64_t* work = nullptr);
-
 }  // namespace mpcsd::seq

@@ -23,8 +23,11 @@
 //     (myers_kernel.hpp) — resolves the remainder.
 //
 // Work metering stays in modelled DP cells (band area per attempt, exactly
-// the unit the scalar doubling driver charges); the charge is a pure
-// function of (|a|, |b|, limit, answer), never of ISA or host.
+// the unit the scalar doubling driver charges) and never depends on ISA or
+// host.  It is not a function of (|a|, |b|, limit, answer) alone: the
+// charge is taken on the trimmed core, so it depends on the common prefix
+// and suffix, and a tiny core goes to the scalar doubling driver, whose
+// failed rungs charge only the cells they touched before aborting early.
 #pragma once
 
 #include <cstdint>

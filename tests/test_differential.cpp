@@ -64,7 +64,8 @@ TEST(Differential, EditDistanceEnginesAgree) {
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     const auto inst = random_instance(seed, false);
     const auto reference = edit_distance(inst.a, inst.b);
-    ASSERT_EQ(edit_distance_doubling(inst.a, inst.b), reference) << "seed=" << seed;
+    const auto limit = static_cast<std::int64_t>(std::max(inst.a.size(), inst.b.size()));
+    ASSERT_EQ(edit_distance_bounded(inst.a, inst.b, limit), reference) << "seed=" << seed;
     ASSERT_EQ(edit_distance_myers(inst.a, inst.b), reference) << "seed=" << seed;
     // The band certifies exactly at the reference and refuses below it.
     ASSERT_EQ(edit_distance_banded(inst.a, inst.b, reference),

@@ -83,7 +83,8 @@ TEST(EditDistanceDoubling, MatchesExactOnRandomPairs) {
     const auto a = core::random_string(n, 4, seed);
     const auto b = core::random_string(n + static_cast<std::int64_t>(seed % 5), 4,
                                        seed + 1000);
-    EXPECT_EQ(edit_distance_doubling(a, b), edit_distance(a, b)) << "seed=" << seed;
+    const auto limit = static_cast<std::int64_t>(std::max(a.size(), b.size()));
+    EXPECT_EQ(edit_distance_bounded(a, b, limit), edit_distance(a, b)) << "seed=" << seed;
   }
 }
 
@@ -132,7 +133,7 @@ TEST_P(EditDistanceSweep, DoublingMatchesExact) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const auto a = core::random_string(n, alphabet, seed);
     const auto b = core::random_string(n, alphabet, seed + 77);
-    ASSERT_EQ(edit_distance_doubling(a, b), edit_distance(a, b))
+    ASSERT_EQ(edit_distance_bounded(a, b, n), edit_distance(a, b))
         << "n=" << n << " sigma=" << alphabet << " seed=" << seed;
   }
 }
